@@ -21,7 +21,7 @@ import click
 from .evaluation import compare_thresholds
 from .histograms import Domain, ThresholdSet, linearized_quantile_grid, probability_grid
 from .ingestion import CsvSchema, InclusionPolicy, apply_inclusion, empirical_histogram, read_cgm_csv
-from .losses import Cohort, LossKind, LossSpec
+from .losses import DEFAULT_GRID_SIZE, Cohort, LossKind, LossSpec
 from .optimizers import (
     DEConfig,
     Method,
@@ -162,10 +162,11 @@ def _load_input(section: dict, method: Method, out_dir: Path):
             policy = InclusionPolicy(**policy_section)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid input.inclusion: {exc}")
+        on_bad_row = section.get("on_bad_row", "error")
+        if on_bad_row not in ("error", "skip"):
+            raise ConfigError(f"input.on_bad_row must be 'error' or 'skip', got {on_bad_row!r}")
         try:
-            result = read_cgm_csv(
-                section["path"], schema=schema, on_bad_row=section.get("on_bad_row", "error")
-            )
+            result = read_cgm_csv(section["path"], schema=schema, on_bad_row=on_bad_row)
         except FileNotFoundError:
             raise DataError(f"input file {section['path']} not found")
         except ValueError as exc:
@@ -202,6 +203,18 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _grid_size(flag, config: dict) -> int:
+    """Quantile grid size from the flag, else the config, else the default."""
+    value = flag if flag is not None else config.get("grid_size", DEFAULT_GRID_SIZE)
+    try:
+        size = int(value)
+    except (TypeError, ValueError):
+        size = 0
+    if size < 1:
+        raise ConfigError(f"grid_size must be a positive integer, got {value!r}")
+    return size
+
+
 def _parse_fixed(raw) -> tuple:
     if raw is None:
         return ()
@@ -215,7 +228,7 @@ def _parse_fixed(raw) -> tuple:
 
 
 @click.group()
-@click.option("--threads", type=int, default=None, help="Cap worker parallelism (results are identical for any value).")
+@click.option("--threads", type=int, default=None, help="Reserved: accepted for compatibility and has no effect.")
 def main(threads):
     """Data-driven thresholds for cohorts of bounded distributions."""
     level = os.environ.get("OPTITHRESH_LOG", "WARNING").upper()
@@ -223,7 +236,7 @@ def main(threads):
     if threads is not None and threads < 1:
         _fail(EXIT_CONFIG, "--threads must be positive")
     if threads:
-        log.info("thread cap set to %d (evaluation is deterministic regardless)", threads)
+        log.info("--threads is reserved and has no effect; every run is single-threaded")
 
 
 @main.command("optimize")
@@ -261,7 +274,7 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
             loss_token = loss_token or "l1"
             if loss_token not in ("l1", "l2"):
                 raise ConfigError(f"loss must be 'l1' or 'l2', got {loss_token!r}")
-            spec = LossSpec(LossKind(loss_token), int(grid_size or config.get("grid_size", 200)))
+            spec = LossSpec(LossKind(loss_token), _grid_size(grid_size, config))
         k_value = k if k is not None else config.get("k")
         if k_value is None:
             raise ConfigError("k is required (flag --k or config key 'k')")
@@ -360,7 +373,7 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
                 "losses must be drawn from ['l1', 'l2']; the PAA baseline supplies its own "
                 "compositional objective"
             )
-        grid = int(grid_size or config.get("grid_size", 200))
+        grid = _grid_size(grid_size, config)
         loss_specs = [LossSpec(LossKind(token), grid) for token in losses]
         k_value = int(k if k is not None else config.get("k", 3))
         reps_value = int(reps if reps is not None else config.get("reps", 10))
@@ -504,7 +517,7 @@ def cmd_evaluate(config_path, grid_size, out_dir):
         reference = (
             ThresholdSet.ordered(config["reference"]) if "reference" in config else None
         )
-        grid = int(grid_size or config.get("grid_size", 200))
+        grid = _grid_size(grid_size, config)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:

@@ -168,7 +168,8 @@ def read_cgm_csv(
         for column in (schema.id_column, schema.time_column, schema.value_column):
             if column not in reader.fieldnames:
                 raise ValueError(f"missing required column {column!r} in {path}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             raw_id = row.get(schema.id_column)
             raw_time = row.get(schema.time_column)
             raw_value = row.get(schema.value_column)
@@ -192,16 +193,16 @@ def read_cgm_csv(
             if value < lo or value > hi:
                 clamp_counts[raw_id] = clamp_counts.get(raw_id, 0) + 1
                 value = min(max(value, lo), hi)
-            by_subject.setdefault(raw_id, []).append((stamp, value))
+            by_subject.setdefault(raw_id, []).append((stamp, value, line_no))
 
     series = []
     for subject_id, readings in by_subject.items():
-        readings.sort(key=lambda pair: pair[0])
+        readings.sort(key=lambda reading: reading[0])
         stamps = []
         values = []
-        for stamp, value in readings:
+        for stamp, value, line_no in readings:
             if stamps and stamp == stamps[-1]:
-                bad(0, f"duplicate timestamp {stamp} for subject {subject_id}")
+                bad(line_no, f"duplicate timestamp {stamp} for subject {subject_id}")
                 continue
             stamps.append(stamp)
             values.append(value)

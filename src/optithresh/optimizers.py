@@ -20,11 +20,14 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from ._interp import interp_rows
-from .histograms import ThresholdSet, probability_grid
+from .histograms import Domain, ThresholdSet, probability_grid
 from .losses import (
     Cohort,
+    _SegmentTable,
     LossKind,
     LossSpec,
+    _anchor_rows,
+    _loss_batch,
     amalgamated_compositions,
     evaluate_loss,
 )
@@ -48,6 +51,12 @@ __all__ = [
 TIE_TOL = 1e-12
 
 DEFAULT_EXHAUSTIVE_BUDGET = 2_000_000
+
+#: DE settles closed-form L1 scores this close (relative) with exact losses.
+_SETTLE_RTOL = 1e-10
+
+#: Combinations scored per vectorised step of the L1 exhaustive search.
+_COMBO_CHUNK = 1 << 14
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -139,6 +148,7 @@ class _GridTables:
     base: np.ndarray          # (n, M)
     grid_size: int
     base_norms: Optional[np.ndarray] = None  # condensed, L2 only
+    segment_costs: Optional[_SegmentTable] = None  # between anchor columns, L1 only
 
     @property
     def n(self) -> int:
@@ -161,11 +171,22 @@ def _grid_tables(cohort: Cohort, spec: LossSpec) -> _GridTables:
         if cohort.n < 2:
             raise ValueError("pairwise loss requires at least two cohort members")
         tables.base_norms = cohort.pairwise_base_norms(spec.grid_size)
+    elif spec.kind is LossKind.L1:
+        tables.segment_costs = cohort._l1_scorer(spec.grid_size).segment_table(ht.cum, ht.qf)
     return tables
 
 
+def _selection_cols(tables: _GridTables, sel: np.ndarray) -> np.ndarray:
+    """Anchor columns of a selection: the 0-anchor, the cutoffs, the 1-anchor."""
+    return np.concatenate(([0], np.asarray(sel, dtype=np.intp) + 1, [tables.cum.shape[1] - 1]))
+
+
+def _l1_scale(tables: _GridTables) -> float:
+    return tables.n * (tables.grid_size + 1)
+
+
 def _selection_grids(tables: _GridTables, sel: np.ndarray) -> np.ndarray:
-    cols = np.concatenate(([0], np.asarray(sel, dtype=np.intp) + 1, [tables.cum.shape[1] - 1]))
+    cols = _selection_cols(tables, sel)
     return interp_rows(tables.cum[:, cols], tables.qf[:, cols], tables.u)
 
 
@@ -190,8 +211,9 @@ class _RemovalScan:
 
     Removing one anchor only changes the linearized grids on the probability
     span between its surviving neighbours, so each candidate is scored from the
-    current grids plus a correction on that span.  ``apply`` recomputes the
-    state from scratch, so corrections never accumulate.
+    current grids plus a correction on that span; under L1 the correction is
+    read from the segment-cost table.  ``apply`` recomputes the state from
+    scratch, so corrections never accumulate.
     """
 
     def __init__(self, tables: _GridTables, kind: LossKind, sel: np.ndarray):
@@ -202,7 +224,8 @@ class _RemovalScan:
 
     def _refresh(self) -> None:
         t = self.tables
-        cols = np.concatenate(([0], self.sel + 1, [t.cum.shape[1] - 1]))
+        cols = _selection_cols(t, self.sel)
+        self.cols = cols
         self.p = t.cum[:, cols]
         self.v = t.qf[:, cols]
         self.grids = interp_rows(self.p, self.v, t.u)
@@ -234,19 +257,27 @@ class _RemovalScan:
         inside = (us[None, :] > p0) & (us[None, :] < p1)
         return np.where(inside, new, self.grids[:, lo:hi])
 
+    def candidate_losses(self, positions: list) -> list:
+        """Losses after removing the threshold at each of ``positions``."""
+        if self.kind is not LossKind.L1:
+            return [self.candidate_loss(pos) for pos in positions]
+        t = self.tables
+        pos = np.asarray(positions, dtype=np.intp)
+        left, mid, right = self.cols[pos], self.cols[pos + 1], self.cols[pos + 2]
+        costs = t.segment_costs
+        delta = (costs(left, right) - costs(left, mid)) - costs(mid, right)
+        return ((self.total + delta) / _l1_scale(t)).tolist()
+
     def candidate_loss(self, position: int) -> float:
         """Loss after removing the threshold at ``position`` within the selection."""
+        if self.kind is LossKind.L1:
+            return self.candidate_losses([position])[0]
         t = self.tables
         anchor = position + 1
         lo, hi = self._changed_span(anchor)
         if lo >= hi:
             return self.loss
         new = self._new_span_values(anchor, lo, hi)
-        if self.kind is LossKind.L1:
-            base = t.base[:, lo:hi]
-            old = self.grids[:, lo:hi]
-            delta = float(np.sum((new - base) ** 2) - np.sum((old - base) ** 2))
-            return (self.total + delta) / t.n / (t.grid_size + 1)
         old = self.grids[:, lo:hi]
         sq = self.sq_dists - pdist(old, metric="sqeuclidean") + pdist(new, metric="sqeuclidean")
         diff = t.base_norms - np.sqrt(np.maximum(sq, 0.0))
@@ -289,6 +320,9 @@ class _BrayCurtisRemovalScan:
         diff = self.base_bc - num / self.denominators
         return float(np.sum(diff * diff) * self._pair_scale)
 
+    def candidate_losses(self, positions: list) -> list:
+        return [self.candidate_loss(pos) for pos in positions]
+
     def apply(self, position: int) -> None:
         self.sel = np.delete(self.sel, position)
         self._refresh()
@@ -303,10 +337,8 @@ def _aggregate(cohort, k, fixed, scan, cutoffs) -> tuple:
     while scan.sel.size > k:
         best_pos = -1
         best_loss = math.inf
-        for pos, idx in enumerate(scan.sel.tolist()):
-            if idx in fixed_pos:
-                continue
-            cand = scan.candidate_loss(pos)
+        positions = [pos for pos, idx in enumerate(scan.sel.tolist()) if idx not in fixed_pos]
+        for pos, cand in zip(positions, scan.candidate_losses(positions)):
             evaluations += 1
             if cand < best_loss - TIE_TOL:
                 best_pos, best_loss = pos, cand
@@ -368,16 +400,42 @@ def exhaustive_search(
             f"{n_combos} combinations exceed the budget of {budget}; "
             "use a stepwise or evolutionary solver instead"
         )
-    best_sel = None
-    best_loss = math.inf
-    for combo in itertools.combinations(free.tolist(), n_free):
-        sel = np.sort(np.concatenate((np.asarray(combo, dtype=np.intp), fixed_pos)))
-        loss = _selection_loss(tables, sel, spec.kind)
-        if loss < best_loss:
-            best_sel, best_loss = sel, loss
+    combos = itertools.combinations(free.tolist(), n_free)
+    if tables.segment_costs is not None:
+        best_sel = _exhaustive_l1(tables, combos, n_free, fixed_pos)
+    else:
+        best_sel = None
+        best_loss = math.inf
+        for combo in combos:
+            sel = np.sort(np.concatenate((np.asarray(combo, dtype=np.intp), fixed_pos)))
+            loss = _selection_loss(tables, sel, spec.kind)
+            if loss < best_loss:
+                best_sel, best_loss = sel, loss
     return _certify(
         cohort, tables.cutoffs[best_sel], fixed, Method.EXHAUSTIVE, spec, n_combos, None
     )
+
+
+def _exhaustive_l1(tables: _GridTables, combos, n_free: int, fixed_pos: np.ndarray) -> np.ndarray:
+    """First combination of minimal L1 score, summing segment costs chunk by chunk."""
+    costs = tables.segment_costs
+    last = tables.cum.shape[1] - 1
+    best_sel = None
+    best_loss = math.inf
+    while True:
+        chunk = list(itertools.islice(combos, _COMBO_CHUNK))
+        if not chunk:
+            return best_sel
+        free = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_free)
+        fixed = np.broadcast_to(fixed_pos, (len(chunk), fixed_pos.size))
+        sel = np.sort(np.concatenate((free, fixed), axis=1), axis=1)
+        cols = np.concatenate(
+            (np.zeros((len(chunk), 1), np.intp), sel + 1, np.full((len(chunk), 1), last)), axis=1
+        )
+        losses = costs(cols[:, :-1], cols[:, 1:]).sum(axis=1) / _l1_scale(tables)
+        best = int(np.argmin(losses))
+        if losses[best] < best_loss:
+            best_sel, best_loss = sel[best], losses[best]
 
 
 def stepwise_aggregation(
@@ -395,6 +453,18 @@ def stepwise_aggregation(
     )
 
 
+def _l1_insertions(tables: _GridTables, sel: np.ndarray, candidates: np.ndarray) -> list:
+    """L1 scores of inserting each candidate cutoff into the selection."""
+    costs = tables.segment_costs
+    cols = _selection_cols(tables, sel)
+    new = candidates + 1
+    slot = np.searchsorted(cols, new)
+    left, right = cols[slot - 1], cols[slot]
+    total = costs(cols[:-1], cols[1:]).sum()
+    delta = (costs(left, new) + costs(new, right)) - costs(left, right)
+    return ((total + delta) / _l1_scale(tables)).tolist()
+
+
 def stepwise_splitting(
     cohort: Cohort, k: int, spec: LossSpec, fixed: FixedLike = None
 ) -> OptimizationResult:
@@ -404,21 +474,28 @@ def stepwise_splitting(
     j = tables.cutoffs.size
     _check_k(k, fixed, j)
     sel = np.sort(_fixed_positions(tables.cutoffs, fixed))
+    l1 = tables.segment_costs is not None
     trace = []
     evaluations = 0
     step = 0
     while sel.size < k:
         best_idx = -1
         best_loss = math.inf
-        for idx in np.setdiff1d(np.arange(j, dtype=np.intp), sel).tolist():
-            cand_sel = np.sort(np.append(sel, idx))
-            cand = _selection_loss(tables, cand_sel, spec.kind)
+        candidates = np.setdiff1d(np.arange(j, dtype=np.intp), sel)
+        if l1:
+            scores = _l1_insertions(tables, sel, candidates)
+        else:
+            scores = (
+                _selection_loss(tables, np.sort(np.append(sel, idx)), spec.kind)
+                for idx in candidates.tolist()
+            )
+        for idx, cand in zip(candidates.tolist(), scores):
             evaluations += 1
             if cand < best_loss - TIE_TOL:
                 best_idx, best_loss = idx, cand
         sel = np.sort(np.append(sel, best_idx))
         step += 1
-        trace.append((step, best_loss))
+        trace.append((step, _selection_loss(tables, sel, spec.kind) if l1 else best_loss))
     return _certify(
         cohort,
         tables.cutoffs[sel],
@@ -430,13 +507,19 @@ def stepwise_splitting(
     )
 
 
-def _repair_candidate(
-    free: np.ndarray, fixed: tuple, lower: float, upper: float, bump: float
-) -> np.ndarray:
-    """Sort a candidate, merge in the fixed thresholds and separate duplicates."""
+def _repair_candidate(free: np.ndarray, fixed: tuple, domain: Domain, bump: float) -> np.ndarray:
+    """Sort a candidate, merge in the fixed thresholds and separate duplicates.
+
+    Free values are clipped to [a + bump, b - bump] and duplicates are pushed
+    up by ``bump``.  Where that leaves the open domain (a, b) or fails to
+    separate values (a bump below one ulp of the values), the free values are
+    spaced by single ulps instead, strictly inside the domain.
+    """
+    a, b = domain.lower, domain.upper
+    lower, upper = a + bump, b - bump
     fixed_set = set(fixed)
     items = [(v, 1) for v in fixed]
-    items += [(float(np.clip(v, lower, upper)), 0) for v in free]
+    items += [(min(max(float(v), lower), upper), 0) for v in free]
     items.sort(key=lambda pair: (pair[0], -pair[1]))
     out = []
     prev = None
@@ -444,11 +527,122 @@ def _repair_candidate(
         if not is_fixed:
             if prev is not None and value <= prev:
                 value = prev + bump
-            while value in fixed_set:
+            while value in fixed_set and value + bump != value:
                 value += bump
         out.append(value)
         prev = value
-    return np.asarray(out)
+    if a < out[0] and out[-1] < b and all(x < y for x, y in zip(out, out[1:])):
+        return np.asarray(out)
+    return _space_by_ulps(items, fixed_set, a, b)
+
+
+def _space_by_ulps(items: list, fixed_set: set, a: float, b: float) -> np.ndarray:
+    """Free values made distinct by single ulps, off the fixed values, inside (a, b).
+
+    ``items`` are (value, is_fixed) pairs.  The free values keep their order:
+    an upward pass lifts each above its predecessor, a downward pass caps each
+    below its successor and below b, and both step over fixed values.
+    """
+    lo, hi = float(np.nextafter(a, b)), float(np.nextafter(b, a))
+    free = sorted(min(max(v, lo), hi) for v, is_fixed in items if not is_fixed)
+    prev = -math.inf
+    for i, value in enumerate(free):
+        value = max(value, float(np.nextafter(prev, math.inf)))
+        while value in fixed_set:
+            value = float(np.nextafter(value, math.inf))
+        free[i] = prev = value
+    nxt = math.inf
+    for i in reversed(range(len(free))):
+        value = min(free[i], hi, float(np.nextafter(nxt, -math.inf)))
+        while value in fixed_set:
+            value = float(np.nextafter(value, -math.inf))
+        free[i] = nxt = value
+    if free[0] <= a:
+        raise ValueError(f"the domain ({a}, {b}) cannot hold {len(items)} distinct thresholds")
+    return np.sort(free + sorted(fixed_set))
+
+
+class _ExactScores:
+    """DE losses evaluated exactly for every candidate."""
+
+    def __init__(self, cohort: Cohort, spec: LossSpec, repaired):
+        self.cohort = cohort
+        self.spec = spec
+        self.repaired = repaired
+
+    def score(self, population: np.ndarray) -> np.ndarray:
+        return _loss_batch(self.cohort, self.repaired(population), self.spec)
+
+    def no_worse(self, trials, trial_losses, population, losses) -> np.ndarray:
+        return trial_losses <= losses
+
+    def resolved(self, population, losses) -> np.ndarray:
+        return losses
+
+
+class _SettledL1Scores(_ExactScores):
+    """Closed-form L1 scores for DE, settled with exact losses where they nearly tie.
+
+    The scores match ``_loss_batch`` to about 1e-13 relative, so every
+    comparison they decide by more than ``_SETTLE_RTOL`` goes the way exact
+    losses would.  Closer calls, and the losses near the population minimum,
+    are settled with exact losses; DE then takes the same path, returns the
+    same candidate and traces the same losses as when scoring exactly.
+    Candidates with identical scores share their anchors, hence their exact
+    loss.
+    """
+
+    def __init__(self, cohort: Cohort, spec: LossSpec, repaired):
+        super().__init__(cohort, spec, repaired)
+        self.scorer = cohort._l1_scorer(spec.grid_size)
+        self.known = None  # exact loss per population member, NaN where not computed
+
+    def score(self, population: np.ndarray) -> np.ndarray:
+        if self.known is None:  # the first call scores the initial population
+            self.known = np.full(len(population), np.nan)
+        return self.scorer.batch_loss(*_anchor_rows(self.cohort, self.repaired(population)))
+
+    def _exact(self, rows: np.ndarray) -> np.ndarray:
+        # einsum sums a one-row batch in another order than a batch of several;
+        # padding keeps the values bitwise those of batched evaluation.
+        padded = self.repaired(rows if len(rows) > 1 else np.vstack([rows, rows]))
+        return _loss_batch(self.cohort, padded, self.spec)[: len(rows)]
+
+    def _close(self, x: np.ndarray, y) -> np.ndarray:
+        return np.abs(x - y) <= _SETTLE_RTOL * (np.abs(y) + self.scorer.spread)
+
+    def no_worse(self, trials, trial_losses, population, losses) -> np.ndarray:
+        better = trial_losses <= losses
+        moved = better & (trial_losses != losses)
+        close = np.nonzero((trial_losses != losses) & self._close(trial_losses, losses))[0]
+        if close.size:
+            unknown = close[np.isnan(self.known[close])]
+            if unknown.size:
+                self.known[unknown] = self._exact(population[unknown])
+            trial_exact = self._exact(trials[close])
+            better[close] = trial_exact <= self.known[close]
+            moved[close] = False
+            self.known[close] = np.where(better[close], trial_exact, self.known[close])
+        self.known[moved] = np.nan
+        return better
+
+    def resolved(self, population, losses) -> np.ndarray:
+        """Scores with exact losses in place of those near the minimum."""
+        near = self._close(losses, losses.min())
+        todo = np.nonzero(near & np.isnan(self.known))[0]
+        if todo.size:
+            have = np.nonzero(~np.isnan(self.known))[0]
+            exact = dict(zip(losses[have].tolist(), self.known[have].tolist()))
+            first = {}
+            for i in todo.tolist():
+                if losses[i] not in exact:
+                    first.setdefault(losses[i], i)
+            if first:
+                exact.update(zip(first, self._exact(population[list(first.values())]).tolist()))
+            self.known[todo] = [exact[losses[i]] for i in todo.tolist()]
+        out = losses.copy()
+        out[near] = self.known[near]
+        return out
 
 
 def differential_evolution(
@@ -463,7 +657,8 @@ def differential_evolution(
     Candidates live in the open box (a, b)^(K - #fixed); each vector is sorted
     and merged with the fixed thresholds before evaluation, which makes the
     monotonicity constraint a reparameterization rather than a penalty.
-    Deterministic for a given seed.
+    Under L1, candidates are scored in closed form and near-ties are settled
+    with exact losses (``_SettledL1Scores``).  Deterministic for a given seed.
     """
     if spec.kind is LossKind.L2_BRAY_CURTIS:
         raise ValueError("differential evolution optimizes quantile-grid losses only")
@@ -472,24 +667,23 @@ def differential_evolution(
     k_free = k - len(fixed)
     if k < 1 or k_free < 1:
         raise ValueError("differential evolution needs at least one free threshold")
-    a, b = cohort.domain.lower, cohort.domain.upper
+    domain = cohort.domain
+    a, b = domain.lower, domain.upper
     span = b - a
     if span <= 0:
         raise ValueError("degenerate domain")
     margin = 1e-9 * span
     lower, upper = a + margin, b - margin
     for value in fixed:
-        if not cohort.domain.contains_interior(value):
+        if not domain.contains_interior(value):
             raise ValueError(f"fixed threshold {value} outside the open domain ({a}, {b})")
 
-    from .losses import _loss_batch
+    def repaired(population: np.ndarray) -> np.ndarray:
+        return np.vstack([_repair_candidate(row, fixed, domain, margin) for row in population])
 
-    def batch_losses(population: np.ndarray) -> np.ndarray:
-        repaired = np.vstack(
-            [_repair_candidate(row, fixed, lower, upper, margin) for row in population]
-        )
-        return _loss_batch(cohort, repaired, spec)
-
+    scores = (_SettledL1Scores if spec.kind is LossKind.L1 else _ExactScores)(
+        cohort, spec, repaired
+    )
     rng = np.random.default_rng(config.seed)
     n_pop = config.population_size_per_dim * k_free
     # Latin hypercube initialization, one stratified permutation per dimension.
@@ -498,9 +692,10 @@ def differential_evolution(
         strata = (rng.permutation(n_pop) + rng.random(n_pop)) / n_pop
         population[:, dim] = a + strata * span
     np.clip(population, lower, upper, out=population)
-    losses = batch_losses(population)
+    losses = scores.score(population)
+    resolved = scores.resolved(population, losses)
     evaluations = n_pop
-    trace = [(0, float(losses.min()))]
+    trace = [(0, float(resolved.min()))]
 
     generations = 0
     for generation in range(1, config.max_generations + 1):
@@ -516,17 +711,17 @@ def differential_evolution(
             cross[rng.integers(k_free)] = True
             trials[i] = np.where(cross, mutant, population[i])
         np.clip(trials, lower, upper, out=trials)
-        trial_losses = batch_losses(trials)
+        trial_losses = scores.score(trials)
         evaluations += n_pop
-        better = trial_losses <= losses
+        better = scores.no_worse(trials, trial_losses, population, losses)
         population[better] = trials[better]
         losses[better] = trial_losses[better]
-        trace.append((generation, float(losses.min())))
-        if float(losses.std()) <= config.convergence_tol * abs(float(losses.mean())):
+        resolved = scores.resolved(population, losses)
+        trace.append((generation, float(resolved.min())))
+        if float(resolved.std()) <= config.convergence_tol * abs(float(resolved.mean())):
             break
 
-    best = population[int(np.argmin(losses))]
-    values = _repair_candidate(best, fixed, lower, upper, margin)
+    values = _repair_candidate(population[int(np.argmin(resolved))], fixed, domain, margin)
     return _certify(
         cohort, values, fixed, Method.DIFFERENTIAL_EVOLUTION, spec, evaluations, tuple(trace)
     )

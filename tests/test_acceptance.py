@@ -2,7 +2,8 @@
 
 The heavy fixtures (replicated benchmark runs at n=200 subjects) are module
 scoped and shared between criteria.  Run with ``pytest tests/test_acceptance.py
--s`` to see the per-criterion lines as they complete.
+-s`` to see the per-criterion lines as they complete.  Every test here carries
+the ``slow`` marker, so ``pytest -m "not slow"`` runs the unit suite alone.
 """
 
 import itertools
@@ -34,6 +35,8 @@ from optithresh.optimizers import (
     stepwise_splitting,
 )
 from optithresh.simulation import MixtureSpec, WeightScheme, run_benchmark
+
+pytestmark = pytest.mark.slow
 
 REPS = 10
 GRID = 200

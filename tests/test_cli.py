@@ -88,6 +88,29 @@ class TestOptimizeCommand:
         result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_zero_grid_size_is_config_error(self, runner, tmp_path, where):
+        if where == "flag":
+            cfg = self.config(tmp_path)
+            args = ["optimize", "--config", cfg, "--grid-size", "0", "--out", str(tmp_path)]
+        else:
+            cfg = self.config(tmp_path, grid_size=0)
+            args = ["optimize", "--config", cfg, "--out", str(tmp_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "grid_size" in result.output
+        assert not (tmp_path / "result.json").exists()
+
+    def test_invalid_on_bad_row_is_config_error(self, runner, tmp_path):
+        data = tmp_path / "cgm.csv"
+        data.write_text("id,time,gl\na,0,100\n")
+        cfg = self.config(
+            tmp_path, input={"kind": "csv", "path": str(data), "on_bad_row": "ignore"}
+        )
+        result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "on_bad_row" in result.output
+
     def test_paa_with_loss_is_config_error(self, runner, tmp_path):
         cfg = self.config(tmp_path, method="paa", loss="l1")
         result = runner.invoke(main, ["optimize", "--config", cfg])
@@ -159,6 +182,14 @@ class TestSimulateCommand:
         payload = json.loads((out / "benchmark.json").read_text())
         assert len(payload["rows"]) == 3
         assert (out / "replications.csv").exists()
+
+    def test_zero_grid_size_is_config_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "sim.json", {"mixture": SMALL_MIXTURE, "reps": 1})
+        result = runner.invoke(
+            main, ["simulate", "--config", cfg, "--grid-size", "0", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "grid_size" in result.output
 
     def test_bray_curtis_loss_rejected(self, runner, tmp_path):
         cfg = write_config(

@@ -70,6 +70,18 @@ class TestReadCsv:
         assert result.series[0].values == (100.0, 102.0)
         assert result.skipped_rows[0][0] == 3
 
+    def test_duplicate_timestamp_reports_its_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        # The blank line 4 still counts as a line of the file.
+        path.write_text("id,time,gl\na,0,100\nb,0,90\n\na,300,101\na,0,120\nb,300,91\n")
+        with pytest.raises(ValueError, match="line 6: duplicate timestamp"):
+            read_cgm_csv(path)
+        result = read_cgm_csv(path, on_bad_row="skip")
+        assert result.skipped_rows == [(6, "duplicate timestamp 0.0 for subject a")]
+        by_id = {s.subject_id: s for s in result.series}
+        assert by_id["a"].values == (100.0, 101.0)
+        assert by_id["b"].values == (90.0, 91.0)
+
     def test_missing_column_fatal(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("id,when,gl\na,0,100\n")

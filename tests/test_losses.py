@@ -163,6 +163,92 @@ class TestLossL1:
         assert loss_l1(cohort, t, spec) == pytest.approx(brute_loss_l1(cohort, t, spec), abs=1e-12)
 
 
+def scorer_losses(cohort, thresholds, grid_size):
+    """Closed-form L1 scores of a (B, K) batch of threshold rows."""
+    from optithresh.losses import _anchor_rows
+
+    return cohort._l1_scorer(grid_size).batch_loss(*_anchor_rows(cohort, thresholds))
+
+
+def threshold_rows(rng, domain, n_rows, k, pool=None):
+    """Sorted strictly increasing rows inside the domain, optionally drawn from a pool."""
+    rows = []
+    while len(rows) < n_rows:
+        if pool is None:
+            row = np.sort(rng.uniform(domain.lower, domain.upper, size=k))
+        else:
+            row = np.sort(rng.choice(pool, size=k, replace=False))
+        if np.all(np.diff(row) > 0) and domain.lower < row[0] and row[-1] < domain.upper:
+            rows.append(row)
+    return np.array(rows)
+
+
+class TestL1Scorer:
+    """The search scorer against ``_loss_batch``, which reported losses come from."""
+
+    def check(self, cohort, thresholds, grid_size):
+        from optithresh.losses import _loss_batch
+
+        exact = _loss_batch(cohort, thresholds, LossSpec(LossKind.L1, grid_size))
+        fast = scorer_losses(cohort, thresholds, grid_size)
+        assert fast == pytest.approx(exact, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_sample_cohort(self, rng, k):
+        cohort = Cohort([random_sample(rng, n=int(rng.integers(1, 80))) for _ in range(7)])
+        self.check(cohort, threshold_rows(rng, UNIT, 20, k), 57)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_shared_cutoff_histograms(self, rng, k):
+        cuts = np.linspace(0.0, 1.0, 12)[1:-1]
+        cohort = Cohort([Histogram(UNIT, cuts, rng.dirichlet(np.ones(11))) for _ in range(6)])
+        self.check(cohort, threshold_rows(rng, UNIT, 20, k), 64)
+        # Thresholds on the cutoffs put anchors exactly on histogram edges.
+        self.check(cohort, threshold_rows(rng, UNIT, 20, k, pool=cuts), 64)
+
+    def test_histograms_without_shared_cutoffs(self, rng):
+        cohort = Cohort([random_histogram(rng, n_bins=int(rng.integers(2, 9))) for _ in range(5)])
+        assert cohort.shared_cutoffs is None
+        self.check(cohort, threshold_rows(rng, UNIT, 15, 3), 50)
+
+    def test_ties_probability_edges_and_empty_segments(self, rng):
+        # Zero-mass bins tie anchors and put them at probabilities 0 and 1;
+        # close thresholds and a coarse grid leave segments without grid points.
+        cuts = np.linspace(0.0, 1.0, 11)[1:-1]
+        members = []
+        for _ in range(5):
+            masses = rng.dirichlet(np.ones(10))
+            masses[[0, 1, 8, 9]] = 0.0
+            masses[rng.random(10) < 0.3] = 0.0
+            if masses.sum() == 0.0:
+                masses[4] = 1.0
+            members.append(Histogram(UNIT, cuts, masses / masses.sum()))
+        cohort = Cohort(members)
+        rows = np.array([
+            [0.05, 0.15, 0.95],           # below and above every support
+            [0.15, 0.18, 0.92],           # tied anchors at probabilities 0 and 1
+            [0.41, 0.4100001, 0.4100002], # segments holding no grid point
+            [0.2, 0.5, 0.8],
+        ])
+        for grid_size in (3, 40):
+            self.check(cohort, rows, grid_size)
+            self.check(cohort, np.vstack([rows, threshold_rows(rng, UNIT, 10, 3)]), grid_size)
+        samples = Cohort([random_sample(rng, n=5) for _ in range(4)])
+        self.check(samples, threshold_rows(rng, UNIT, 10, 4, pool=samples.members[0].values), 7)
+
+    def test_domain_offset_by_1e7(self, rng):
+        domain = Domain(1e7, 1e7 + 360.0)
+        cuts = np.linspace(domain.lower, domain.upper, 37)[1:-1]
+        histograms = Cohort(
+            [Histogram(domain, cuts, rng.dirichlet(np.ones(36))) for _ in range(6)]
+        )
+        self.check(histograms, threshold_rows(rng, domain, 20, 3), 200)
+        samples = Cohort(
+            [random_sample(rng, n=300, domain=domain) for _ in range(6)]
+        )
+        self.check(samples, threshold_rows(rng, domain, 20, 3), 200)
+
+
 class TestLossL2:
     def test_zero_at_full_cutoffs(self, rng):
         cuts = np.array([0.25, 0.5, 0.75])

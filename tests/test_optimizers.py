@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from optithresh.histograms import (
     Domain,
@@ -62,6 +64,120 @@ def brute_force_minimum(cohort, k, spec, fixed=()):
         if loss < best_loss:
             best_subset, best_loss = subset, loss
     return best_subset, best_loss
+
+
+def grid_cohort_with_gaps(rng, n=5, n_bins=13, domain=UNIT):
+    """Grid cohort whose members leave bins empty, so anchors tie and reach 0 and 1."""
+    cuts = np.linspace(domain.lower, domain.upper, n_bins + 1)[1:-1]
+    members = []
+    for _ in range(n):
+        masses = rng.dirichlet(np.ones(n_bins))
+        masses[rng.random(n_bins) < 0.3] = 0.0
+        masses[[0, -1]] = 0.0
+        if masses.sum() == 0.0:
+            masses[n_bins // 2] = 1.0
+        members.append(Histogram(domain, cuts, masses / masses.sum()))
+    return Cohort(members)
+
+
+def reference_l1_search(cohort, k, spec, method, fixed=()):
+    """Grid solvers scoring every L1 candidate from scratch with ``_selection_loss``."""
+    from optithresh.optimizers import TIE_TOL, _grid_tables, _selection_loss
+
+    tables = _grid_tables(cohort, spec)
+    j = tables.cutoffs.size
+    fixed_pos = [int(np.searchsorted(tables.cutoffs, v)) for v in fixed]
+    loss = lambda sel: _selection_loss(tables, np.sort(np.asarray(sel, dtype=np.intp)), LossKind.L1)
+    if method == "exhaustive":
+        free = [i for i in range(j) if i not in fixed_pos]
+        best, best_loss = None, np.inf
+        for combo in itertools.combinations(free, k - len(fixed_pos)):
+            cand = loss(list(combo) + fixed_pos)
+            if cand < best_loss:
+                best, best_loss = sorted(list(combo) + fixed_pos), cand
+        sel = best
+    elif method == "sa":
+        sel = list(range(j))
+        while len(sel) > k:
+            best, best_loss = -1, np.inf
+            for pos, idx in enumerate(sel):
+                if idx not in fixed_pos:
+                    cand = loss(sel[:pos] + sel[pos + 1:])
+                    if cand < best_loss - TIE_TOL:
+                        best, best_loss = pos, cand
+            del sel[best]
+    else:
+        sel = sorted(fixed_pos)
+        while len(sel) < k:
+            best, best_loss = -1, np.inf
+            for idx in range(j):
+                if idx not in sel:
+                    cand = loss(sel + [idx])
+                    if cand < best_loss - TIE_TOL:
+                        best, best_loss = idx, cand
+            sel = sorted(sel + [best])
+    return tuple(float(tables.cutoffs[i]) for i in sel)
+
+
+class TestL1SegmentScores:
+    """Grid solvers score L1 candidates from a segment-cost table."""
+
+    @pytest.mark.parametrize("domain", [UNIT, Domain(1e7, 1e7 + 50.0)])
+    def test_table_matches_selection_loss(self, rng, domain):
+        from optithresh.optimizers import _grid_tables, _selection_cols, _selection_loss
+
+        for make in (grid_cohort, grid_cohort_with_gaps):
+            cohort = make(rng, n=6, n_bins=17, domain=domain)
+            spec = LossSpec(LossKind.L1, 45)
+            tables = _grid_tables(cohort, spec)
+            for size in (0, 1, 3, 8, 16):
+                sel = np.sort(rng.choice(16, size=size, replace=False))
+                cols = _selection_cols(tables, sel)
+                fast = tables.segment_costs(cols[:-1], cols[1:]).sum() / cohort.n / 46
+                exact = _selection_loss(tables, sel, LossKind.L1)
+                assert fast == pytest.approx(exact, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("method", ["exhaustive", "sa", "ss"])
+    def test_solvers_match_from_scratch_scoring(self, rng, method):
+        solver = {"exhaustive": exhaustive_search, "sa": stepwise_aggregation,
+                  "ss": stepwise_splitting}[method]
+        for trial in range(12):
+            make = grid_cohort_with_gaps if trial % 2 else grid_cohort
+            cohort = make(rng, n=int(rng.integers(2, 7)), n_bins=int(rng.integers(6, 13)))
+            spec = LossSpec(LossKind.L1, int(rng.integers(15, 70)))
+            cuts = cohort.shared_cutoffs
+            fixed = () if trial % 3 == 0 else (float(cuts[int(rng.integers(cuts.size))]),)
+            k = int(rng.integers(len(fixed) + 1, min(5, cuts.size) + 1))
+            res = solver(cohort, k, spec, fixed)
+            assert res.thresholds.thresholds == reference_l1_search(cohort, k, spec, method, fixed)
+
+    def test_de_matches_exact_scoring(self, rng, monkeypatch):
+        from optithresh import optimizers
+        from optithresh.histograms import EmpiricalSample
+
+        domain = Domain(40.0, 400.0)
+        samples = Cohort(
+            [EmpiricalSample(domain, np.round(rng.uniform(40, 400, size=150))) for _ in range(8)]
+        )
+        # Small cohorts with empty bins give exactly tied losses between
+        # candidates whose anchors differ; DE must settle those as exact scoring does.
+        small = [(int(rng.integers(2, 5)), int(rng.integers(6, 10))) for _ in range(8)]
+        cases = [(grid_cohort_with_gaps(rng, n=n, n_bins=bins), 3, ()) for n, bins in small]
+        cases += [
+            (grid_cohort(rng, n=5, n_bins=9, domain=Domain(1e7, 1e7 + 50.0)), 3, ()),
+            (samples, 3, (180.0,)),
+        ]
+        config = DEConfig(seed=4, max_generations=40, convergence_tol=0.0)
+        for cohort, k, fixed in cases:
+            spec = LossSpec(LossKind.L1, 60)
+            fast = differential_evolution(cohort, k, spec, fixed, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizers, "_SettledL1Scores", optimizers._ExactScores)
+                exact = differential_evolution(cohort, k, spec, fixed, config)
+            assert fast.thresholds == exact.thresholds
+            assert fast.loss == exact.loss
+            assert fast.trace == exact.trace
+            assert fast.evaluations == exact.evaluations
 
 
 class TestExhaustive:
@@ -217,6 +333,88 @@ class TestDifferentialEvolution:
         spec = LossSpec(LossKind.L2, 30)
         res = differential_evolution(cohort, 2, spec, config=DEConfig(seed=3, max_generations=30))
         assert res.loss == evaluate_loss(cohort, res.thresholds, spec)
+
+
+def legacy_repair(free, fixed, lower, upper, bump):
+    """The bump-only repair: clip, sort, push duplicates up by ``bump``."""
+    fixed_set = set(fixed)
+    items = sorted(
+        [(v, 1) for v in fixed] + [(float(np.clip(v, lower, upper)), 0) for v in free],
+        key=lambda pair: (pair[0], -pair[1]),
+    )
+    out, prev = [], None
+    for value, is_fixed in items:
+        if not is_fixed:
+            if prev is not None and value <= prev:
+                value = prev + bump
+            while value in fixed_set and value + bump != value:
+                value += bump
+        out.append(value)
+        prev = value
+    return out
+
+
+@st.composite
+def repair_inputs(draw):
+    """A domain (possibly far from zero), fixed thresholds and a raw DE candidate."""
+    lower = draw(st.one_of(
+        st.floats(-1e3, 1e3), st.floats(-1e15, 1e15), st.sampled_from([0.0, 1e7, -1e9, 1e12])
+    ))
+    width = draw(st.one_of(st.floats(1e-6, 1e4), st.sampled_from([1.0, 360.0, 1e-3])))
+    upper = lower + width
+    n_fixed = draw(st.integers(0, 3))
+    n_free = draw(st.integers(1, 5))
+    # Need room for every threshold strictly inside the domain.
+    room = lower
+    for _ in range(n_fixed + n_free + 2):
+        room = float(np.nextafter(room, np.inf))
+    assume(room < upper)
+    inside = st.floats(0.0, 1.0).map(lambda f: lower + f * (upper - lower))
+    fixed = sorted(set(v for v in draw(st.lists(inside, max_size=n_fixed)) if lower < v < upper))
+    bump = 1e-9 * (upper - lower)
+    edges = [lower, upper, lower + bump, upper - bump, *fixed]
+    raw = st.one_of(
+        st.floats(-0.1, 1.1).map(lambda f: lower + f * (upper - lower)), st.sampled_from(edges)
+    )
+    free = draw(st.lists(raw, min_size=n_free, max_size=n_free))
+    return Domain(lower, upper), tuple(fixed), np.array(free), bump
+
+
+class TestRepairCandidate:
+    def test_duplicates_at_the_upper_edge_stay_inside(self):
+        from optithresh.optimizers import _repair_candidate
+
+        out = _repair_candidate(np.array([1 - 1e-9, 1 - 1e-9]), (), UNIT, 1e-9)
+        assert 0.0 < out[0] < out[1] < 1.0
+
+    def test_bump_below_one_ulp(self):
+        from optithresh.optimizers import _repair_candidate
+
+        domain = Domain(1e9, 1e9 + 1.0)
+        mid = 1e9 + 0.5
+        out = _repair_candidate(np.array([mid, mid, mid]), (mid,), domain, 1e-9)
+        assert mid in out
+        assert out.size == 4 and np.all(np.diff(out) > 0)
+        assert domain.lower < out[0] and out[-1] < domain.upper
+
+    @settings(max_examples=300, deadline=None)
+    @given(repair_inputs())
+    def test_valid_for_any_domain(self, args):
+        from optithresh.optimizers import _repair_candidate
+
+        domain, fixed, free, bump = args
+        out = _repair_candidate(free, fixed, domain, bump)
+        assert out.size == free.size + len(fixed)
+        assert np.all(np.diff(out) > 0)
+        assert domain.lower < out[0] and out[-1] < domain.upper
+        assert set(fixed) <= set(out.tolist())
+        legacy = legacy_repair(free, fixed, domain.lower + bump, domain.upper - bump, bump)
+        legacy_valid = (
+            domain.lower < legacy[0] and legacy[-1] < domain.upper
+            and all(a < b for a, b in zip(legacy, legacy[1:]))
+        )
+        if legacy_valid:
+            assert out.tolist() == legacy
 
 
 class TestPaa:
