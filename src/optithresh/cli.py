@@ -203,16 +203,26 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    """An integer setting from a flag or the config, at least ``minimum``.
+
+    Booleans, fractions and unparseable values are config errors.
+    """
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if number < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {number}")
+    return number
+
+
 def _grid_size(flag, config: dict) -> int:
     """Quantile grid size from the flag, else the config, else the default."""
     value = flag if flag is not None else config.get("grid_size", DEFAULT_GRID_SIZE)
-    try:
-        size = int(value)
-    except (TypeError, ValueError):
-        size = 0
-    if size < 1:
-        raise ConfigError(f"grid_size must be a positive integer, got {value!r}")
-    return size
+    return _integer(value, "grid_size", 1)
 
 
 def _parse_fixed(raw) -> tuple:
@@ -278,8 +288,9 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
         k_value = k if k is not None else config.get("k")
         if k_value is None:
             raise ConfigError("k is required (flag --k or config key 'k')")
+        k_value = _integer(k_value, "k", 0)
         fixed_values = _parse_fixed(fixed if fixed is not None else config.get("fixed"))
-        seed_value = seed if seed is not None else config.get("seed", 0)
+        seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
         out_path = Path(out_dir or config.get("out", "."))
         out_path.mkdir(parents=True, exist_ok=True)
         if "input" not in config:
@@ -292,9 +303,7 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
         _fail(EXIT_DATA, str(exc))
 
     try:
-        result = optimize(
-            cohort, int(k_value), spec, method_enum, fixed=fixed_values, config=de_config
-        )
+        result = optimize(cohort, k_value, spec, method_enum, fixed=fixed_values, config=de_config)
     except SearchBudgetExceeded as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
     except ValueError as exc:
@@ -306,9 +315,9 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
         "method": method_enum.value,
         "loss": result.loss_spec.kind.value,
         "grid_size": result.loss_spec.grid_size,
-        "k": int(k_value),
+        "k": k_value,
         "fixed": list(fixed_values),
-        "seed": int(seed_value),
+        "seed": seed_value,
     }
     payload = {
         "config": resolved,
@@ -375,9 +384,9 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
             )
         grid = _grid_size(grid_size, config)
         loss_specs = [LossSpec(LossKind(token), grid) for token in losses]
-        k_value = int(k if k is not None else config.get("k", 3))
-        reps_value = int(reps if reps is not None else config.get("reps", 10))
-        seed_value = int(seed if seed is not None else config.get("seed", 0))
+        k_value = _integer(k if k is not None else config.get("k", 3), "k", 0)
+        reps_value = _integer(reps if reps is not None else config.get("reps", 10), "reps", 1)
+        seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
         noise_levels = config.get("noise_levels")
         de_config = _de_config(config.get("de", {}), None)
         out_path = Path(out_dir or config.get("out", "."))

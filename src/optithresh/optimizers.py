@@ -58,6 +58,13 @@ _SETTLE_RTOL = 1e-10
 #: Combinations scored per vectorised step of the L1 exhaustive search.
 _COMBO_CHUNK = 1 << 14
 
+#: Pair values per block of candidates in the L2 removal scan (a 128 KiB table).
+_TABLE_BLOCK = 1 << 14
+
+#: The L2 removal scan recomputes a candidate's distances directly when one of
+#: them falls below this fraction of the terms that cancel in its update.
+_CANCEL_RTOL = 1e-8
+
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when an exhaustive enumeration would exceed its combination budget."""
@@ -211,15 +218,22 @@ class _RemovalScan:
 
     Removing one anchor only changes the linearized grids on the probability
     span between its surviving neighbours, so each candidate is scored from the
-    current grids plus a correction on that span; under L1 the correction is
-    read from the segment-cost table.  ``apply`` recomputes the state from
-    scratch, so corrections never accumulate.
+    current state plus a correction on that span: under L1 the correction is
+    read from the segment-cost table, under L2 it is a low-rank update of the
+    squared pairwise distances.  ``apply`` recomputes the state from scratch,
+    so corrections never accumulate.
     """
 
     def __init__(self, tables: _GridTables, kind: LossKind, sel: np.ndarray):
         self.tables = tables
         self.kind = kind
         self.sel = np.asarray(sel, dtype=np.intp)
+        if kind is not LossKind.L1:
+            # Condensed (triu) pair order, as flat indices into an (n, n) matrix.
+            n = tables.n
+            self._pair_i, self._pair_j = np.triu_indices(n, k=1)
+            self._flat_ij = self._pair_i * n + self._pair_j
+            self._flat_ji = self._pair_j * n + self._pair_i
         self._refresh()
 
     def _refresh(self) -> None:
@@ -238,50 +252,92 @@ class _RemovalScan:
             diff = t.base_norms - np.sqrt(self.sq_dists)
             self.loss = float(np.sum(diff * diff) * 2.0 / (t.n * (t.n - 1)) / (t.grid_size + 1))
 
-    def _changed_span(self, anchor: int) -> tuple:
-        lo_p = self.p[:, anchor - 1]
-        hi_p = self.p[:, anchor + 1]
-        lo = int(np.searchsorted(self.tables.u, lo_p.min(), side="right"))
-        hi = int(np.searchsorted(self.tables.u, hi_p.max(), side="left"))
-        return lo, hi
-
-    def _new_span_values(self, anchor: int, lo: int, hi: int) -> np.ndarray:
-        us = self.tables.u[lo:hi]
-        p0 = self.p[:, anchor - 1][:, None]
-        p1 = self.p[:, anchor + 1][:, None]
-        v0 = self.v[:, anchor - 1][:, None]
-        v1 = self.v[:, anchor + 1][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = v0 + (us[None, :] - p0) / (p1 - p0) * (v1 - v0)
-        np.clip(new, v0, v1, out=new)
-        inside = (us[None, :] > p0) & (us[None, :] < p1)
-        return np.where(inside, new, self.grids[:, lo:hi])
-
     def candidate_losses(self, positions: list) -> list:
         """Losses after removing the threshold at each of ``positions``."""
-        if self.kind is not LossKind.L1:
-            return [self.candidate_loss(pos) for pos in positions]
         t = self.tables
         pos = np.asarray(positions, dtype=np.intp)
+        if self.kind is not LossKind.L1:
+            return self._l2_losses(pos)
         left, mid, right = self.cols[pos], self.cols[pos + 1], self.cols[pos + 2]
         costs = t.segment_costs
         delta = (costs(left, right) - costs(left, mid)) - costs(mid, right)
         return ((self.total + delta) / _l1_scale(t)).tolist()
 
-    def candidate_loss(self, position: int) -> float:
-        """Loss after removing the threshold at ``position`` within the selection."""
-        if self.kind is LossKind.L1:
-            return self.candidate_losses([position])[0]
+    def _l2_losses(self, pos: np.ndarray) -> list:
+        """L2 losses of removing the anchors after ``pos``, in blocks of candidates.
+
+        Removing anchor k replaces each member's grid strictly between its
+        anchors k − 1 and k + 1 by their chord, which is the curve through
+        every other anchor there: through the even anchors for odd k, the odd
+        ones for even k.  Two ``interp_rows`` calls thus give every
+        candidate's new values.  A candidate changes the grids only on the span
+        of grid points between its neighbours' extreme anchor probabilities;
+        one without such points keeps the current loss.
+        """
         t = self.tables
-        anchor = position + 1
-        lo, hi = self._changed_span(anchor)
-        if lo >= hi:
-            return self.loss
-        new = self._new_span_values(anchor, lo, hi)
-        old = self.grids[:, lo:hi]
-        sq = self.sq_dists - pdist(old, metric="sqeuclidean") + pdist(new, metric="sqeuclidean")
-        diff = t.base_norms - np.sqrt(np.maximum(sq, 0.0))
-        return float(np.sum(diff * diff) * 2.0 / (t.n * (t.n - 1)) / (t.grid_size + 1))
+        last = self.p.shape[1] - 1
+        changes = []
+        for first in (1, 0):  # the chords used by even, then odd anchors
+            keep = np.unique(np.r_[0, first:last:2, last])
+            chord = interp_rows(self.p[:, keep], self.v[:, keep], t.u)
+            changes.append(np.subtract(chord, self.grids, out=chord))
+        centred = self.grids - self.grids.mean(axis=0)
+        centred *= 2.0
+        lo = np.searchsorted(t.u, self.p[:, pos].min(axis=0), side="right")
+        hi = np.searchsorted(t.u, self.p[:, pos + 2].max(axis=0), side="left")
+        out = np.full(pos.size, self.loss)
+        todo = np.nonzero(lo < hi)[0]
+        block = max(1, _TABLE_BLOCK // self.sq_dists.size)
+        for start in range(0, todo.size, block):
+            rows = todo[start:start + block]
+            sq = np.empty((rows.size, self.sq_dists.size))
+            for row, c in enumerate(rows.tolist()):
+                k = int(pos[c]) + 1
+                sq[row] = self._removal_sq_dists(k, slice(lo[c], hi[c]), changes[k % 2], centred)
+            np.maximum(sq, 0.0, out=sq)
+            np.sqrt(sq, out=sq)
+            np.subtract(t.base_norms, sq, out=sq)
+            np.square(sq, out=sq)
+            out[rows] = sq.sum(axis=1) * 2.0 / (t.n * (t.n - 1)) / (t.grid_size + 1)
+        return out.tolist()
+
+    def _removal_sq_dists(self, k, span, change, centred) -> np.ndarray:
+        """Condensed squared distances between the grids once anchor ``k`` is removed.
+
+        Each member's grid changes by ``change`` (chord minus grid) strictly
+        between its anchors k − 1 and k + 1; on columns ``span`` that is d,
+        zero elsewhere.  With s = d + ``centred``, where ``centred`` is
+        2·(old − column mean), the change of a squared distance is
+        Δ_ij = Σ (d_i − d_j)(s_i − s_j) = X_ii + X_jj − X_ij − X_ji for
+        X = d·sᵀ.  Centring ``old`` before adding d keeps s small on domains
+        far from zero.  Where a new distance nearly cancels against the terms
+        (grids that become identical, as when the last anchor goes), the
+        update keeps too few digits, and the distances are taken from the new
+        grids directly.
+        """
+        us = self.tables.u[span]
+        inside = (us > self.p[:, k - 1, None]) & (us < self.p[:, k + 1, None])
+        d = np.where(inside, change[:, span], 0.0)
+        s = d + centred[:, span]
+        x = d @ s.T
+        r = x.diagonal()
+        flat = x.ravel()
+        sq = self.sq_dists + (
+            (r[self._pair_i] + r[self._pair_j]) - (flat[self._flat_ij] + flat[self._flat_ji])
+        )
+        # |X_ij| <= |d_i|·|s_j| bounds the terms that cancel.  A distance below
+        # `small` keeps about √small of absolute precision, which spoils its
+        # loss term (base − √sq)² unless the base distance is as small (as for
+        # identical members).
+        scale = math.sqrt(np.einsum("ij,ij->i", d, d).max() * np.einsum("ij,ij->i", s, s).max())
+        small = _CANCEL_RTOL * scale
+        if sq.min() >= small or not np.any(
+            (sq < small) & (self.tables.base_norms > math.sqrt(small))
+        ):
+            return sq
+        grids = self.grids.copy()
+        grids[:, span] += d
+        return pdist(grids, metric="sqeuclidean")
 
     def apply(self, position: int) -> None:
         self.sel = np.delete(self.sel, position)
@@ -297,14 +353,14 @@ class _BrayCurtisRemovalScan:
         self.sel = np.asarray(sel, dtype=np.intp)
         n = cohort.n
         self._pair_scale = 2.0 / (n * (n - 1))
+        self._pair_i, self._pair_j = np.triu_indices(n, k=1)
         self._refresh()
 
     def _refresh(self) -> None:
         self.comps = amalgamated_compositions(self.cohort, self.sel)
         self.numerators = pdist(self.comps, metric="cityblock")
         sums = self.comps.sum(axis=1)
-        i, j = np.triu_indices(self.cohort.n, k=1)
-        self.denominators = sums[i] + sums[j]
+        self.denominators = sums[self._pair_i] + sums[self._pair_j]
         diff = self.base_bc - self.numerators / self.denominators
         self.loss = float(np.sum(diff * diff) * self._pair_scale)
 

@@ -101,6 +101,27 @@ class TestOptimizeCommand:
         assert "grid_size" in result.output
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, overrides",
+        [
+            (["--k", "-1"], {}),
+            ([], {"k": -1}),
+            ([], {"k": "three"}),
+            ([], {"k": True}),
+            ([], {"k": 2.5}),
+            ([], {"seed": "five"}),
+            (["--seed", "-1"], {"method": "de"}),
+        ],
+        ids=["negative-flag", "negative", "word", "bool", "fraction", "seed-word", "seed-negative"],
+    )
+    def test_bad_integer_setting_is_config_error(self, runner, tmp_path, flags, overrides):
+        cfg = self.config(tmp_path, **overrides)
+        result = runner.invoke(main, ["optimize", "--config", cfg, *flags, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        name = "seed" if "seed" in overrides or "--seed" in flags else "k"
+        assert f"{name} must be" in result.output
+        assert not (tmp_path / "result.json").exists()
+
     def test_invalid_on_bad_row_is_config_error(self, runner, tmp_path):
         data = tmp_path / "cgm.csv"
         data.write_text("id,time,gl\na,0,100\n")
@@ -190,6 +211,24 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 2, result.output
         assert "grid_size" in result.output
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("k", "three"), ("k", False), ("reps", "ten"), ("reps", 1.5), ("seed", "x"), ("seed", True)],
+    )
+    def test_bad_integer_setting_is_config_error(self, runner, tmp_path, key, value):
+        payload = {"mixture": SMALL_MIXTURE, "methods": ["oracle"], "reps": 1, key: value}
+        cfg = write_config(tmp_path, "sim.json", payload)
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be an integer" in result.output
+        assert not (tmp_path / "benchmark.json").exists()
+
+    def test_negative_k_is_config_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "sim.json", {"mixture": SMALL_MIXTURE, "reps": 1})
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--k", "-1", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "k must be at least 0" in result.output
 
     def test_bray_curtis_loss_rejected(self, runner, tmp_path):
         cfg = write_config(

@@ -80,14 +80,19 @@ def grid_cohort_with_gaps(rng, n=5, n_bins=13, domain=UNIT):
     return Cohort(members)
 
 
-def reference_l1_search(cohort, k, spec, method, fixed=()):
-    """Grid solvers scoring every L1 candidate from scratch with ``_selection_loss``."""
+def reference_search(cohort, k, spec, method, fixed=()):
+    """Grid solvers scoring every candidate from scratch with ``_selection_loss``.
+
+    Returns the thresholds and, for the stepwise methods, the trace of losses
+    after each step.
+    """
     from optithresh.optimizers import TIE_TOL, _grid_tables, _selection_loss
 
     tables = _grid_tables(cohort, spec)
     j = tables.cutoffs.size
     fixed_pos = [int(np.searchsorted(tables.cutoffs, v)) for v in fixed]
-    loss = lambda sel: _selection_loss(tables, np.sort(np.asarray(sel, dtype=np.intp)), LossKind.L1)
+    loss = lambda sel: _selection_loss(tables, np.sort(np.asarray(sel, dtype=np.intp)), spec.kind)
+    trace = []
     if method == "exhaustive":
         free = [i for i in range(j) if i not in fixed_pos]
         best, best_loss = None, np.inf
@@ -106,6 +111,7 @@ def reference_l1_search(cohort, k, spec, method, fixed=()):
                     if cand < best_loss - TIE_TOL:
                         best, best_loss = pos, cand
             del sel[best]
+            trace.append((len(trace) + 1, loss(sel)))
     else:
         sel = sorted(fixed_pos)
         while len(sel) < k:
@@ -116,7 +122,8 @@ def reference_l1_search(cohort, k, spec, method, fixed=()):
                     if cand < best_loss - TIE_TOL:
                         best, best_loss = idx, cand
             sel = sorted(sel + [best])
-    return tuple(float(tables.cutoffs[i]) for i in sel)
+            trace.append((len(trace) + 1, best_loss))
+    return tuple(float(tables.cutoffs[i]) for i in sel), tuple(trace)
 
 
 class TestL1SegmentScores:
@@ -149,7 +156,7 @@ class TestL1SegmentScores:
             fixed = () if trial % 3 == 0 else (float(cuts[int(rng.integers(cuts.size))]),)
             k = int(rng.integers(len(fixed) + 1, min(5, cuts.size) + 1))
             res = solver(cohort, k, spec, fixed)
-            assert res.thresholds.thresholds == reference_l1_search(cohort, k, spec, method, fixed)
+            assert res.thresholds.thresholds == reference_search(cohort, k, spec, method, fixed)[0]
 
     def test_de_matches_exact_scoring(self, rng, monkeypatch):
         from optithresh import optimizers
@@ -237,18 +244,48 @@ class TestStepwise:
             assert sa.loss >= exh.loss - 1e-12
 
     def test_sa_candidate_losses_match_full_evaluation(self, rng):
-        # The incremental removal scan must agree with from-scratch evaluation.
+        # The incremental removal scan must agree with from-scratch evaluation
+        # for every candidate at every step of a full aggregation, down to no
+        # thresholds.  L2 is also checked on domains far from zero, where its
+        # update needs centred values.  (There the from-scratch L1 loss itself
+        # keeps only about ulp(offset)/width relative precision.)
         from optithresh.optimizers import _grid_tables, _RemovalScan, _selection_loss
 
-        for kind in (LossKind.L1, LossKind.L2):
-            cohort = grid_cohort(rng, n=4, n_bins=10)
-            spec = LossSpec(kind, 37)
+        far = [Domain(1e7, 1e7 + 50.0), Domain(-1e9, -1e9 + 3.0), Domain(1e12, 1e12 + 400.0)]
+        cases = [(UNIT, LossKind.L1), (UNIT, LossKind.L2)] + [(d, LossKind.L2) for d in far]
+        for (domain, kind), n in itertools.product(cases, range(2, 31)):
+            make = grid_cohort_with_gaps if n % 3 == 0 else grid_cohort
+            cohort = make(rng, n=n, n_bins=int(rng.integers(4, 14)), domain=domain)
+            if n % 4 == 0:  # a repeated member: its pair distances stay zero
+                cohort = Cohort(cohort.members + cohort.members[:1])
+            spec = LossSpec(kind, int(rng.integers(15, 60)))
             tables = _grid_tables(cohort, spec)
-            sel = np.arange(9, dtype=np.intp)
-            scan = _RemovalScan(tables, kind, sel)
-            for pos in range(9):
-                direct = _selection_loss(tables, np.delete(sel, pos), kind)
-                assert scan.candidate_loss(pos) == pytest.approx(direct, rel=1e-10, abs=1e-14)
+            scan = _RemovalScan(tables, kind, np.arange(tables.cutoffs.size, dtype=np.intp))
+            while scan.sel.size:
+                positions = list(range(scan.sel.size))
+                losses = scan.candidate_losses(positions)
+                for pos, loss in zip(positions, losses):
+                    direct = _selection_loss(tables, np.delete(scan.sel, pos), kind)
+                    assert loss == pytest.approx(direct, rel=1e-10, abs=1e-14)
+                scan.apply(int(np.argmin(losses)))
+
+    def test_sa_l2_matches_from_scratch_greedy(self, rng):
+        # SA under L2 takes the same steps as a greedy loop that scores every
+        # removal with `_selection_loss` and keeps the first best within TIE_TOL.
+        for trial in range(16):
+            make = grid_cohort_with_gaps if trial % 2 else grid_cohort
+            cohort = make(rng, n=int(rng.integers(2, 12)), n_bins=int(rng.integers(5, 16)))
+            spec = LossSpec(LossKind.L2, int(rng.integers(15, 80)))
+            cuts = cohort.shared_cutoffs
+            fixed = () if trial % 4 < 2 else tuple(
+                float(v) for v in np.sort(rng.choice(cuts, size=1 + trial % 2, replace=False))
+            )
+            k = int(rng.integers(len(fixed), cuts.size))
+            res = stepwise_aggregation(cohort, k, spec, fixed)
+            thresholds, trace = reference_search(cohort, k, spec, "sa", fixed)
+            assert res.thresholds.thresholds == thresholds
+            assert res.loss == evaluate_loss(cohort, ThresholdSet(thresholds), spec)
+            assert res.trace == trace
 
     def test_ss_k_zero_and_first_step_matches_exhaustive(self, rng):
         cohort = grid_cohort(rng, n=4, n_bins=13)
