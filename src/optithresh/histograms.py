@@ -273,13 +273,38 @@ def cdf_at(h: Histogram, x: float) -> float:
 def quantile_at(h: Histogram, p: float) -> float:
     """Left-continuous generalized inverse of ``cdf_at``.
 
-    Within zero-mass stretches the infimum point is returned.
+    Returns the smallest float ``x`` with ``cdf_at(h, x) >= p``, so within
+    zero-mass stretches the infimum point is returned. Linear interpolation
+    gives that point up to rounding; where rounding misses it (a bin one ulp
+    wide holding a large mass, or a trailing zero-mass bin that takes the
+    last ulp of mass pinned to 1), the point is found by bisection in its bin.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     if p == 0.0:
         return float(h.domain.lower)
-    return float(interp_rows(h.cumulative, h.edges, np.asarray([p]))[0, 0])
+    q = float(interp_rows(h.cumulative, h.edges, np.asarray([p]))[0, 0])
+    # Bin holding the quantile: cumulative[j - 1] < p <= cumulative[j].
+    j = min(int(np.searchsorted(h.cumulative, p, side="left")), h.n_bins)
+    lo, hi = float(h.edges[j - 1]), float(h.edges[j])
+    if cdf_at(h, q) >= p:
+        below = float(np.nextafter(q, -np.inf))
+        if below < h.domain.lower or cdf_at(h, below) < p:
+            return q
+        hi = q
+    else:
+        lo = q
+    if not (lo < hi and cdf_at(h, lo) < p <= cdf_at(h, hi)):
+        return q
+    # Bisection on floats: cdf_at(lo) < p <= cdf_at(hi) holds throughout.
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid <= lo or mid >= hi:
+            return hi
+        if cdf_at(h, mid) >= p:
+            hi = mid
+        else:
+            lo = mid
 
 
 def empirical_quantile(sample: EmpiricalSample, p: float) -> float:

@@ -130,6 +130,23 @@ class TestQuantile:
         h = Histogram(UNIT, [0.5], [1.0, 0.0])
         assert quantile_at(h, 1.0) == 0.5
 
+    def test_one_ulp_bin_keeps_its_mass(self):
+        # Interpolating inside a bin one ulp wide rounds down to its left edge,
+        # where the CDF has not yet gained the bin's 0.4 mass.
+        cut = 0.01
+        h = Histogram(UNIT, [cut, np.nextafter(cut, 1.0), 0.5], [0.2, 0.4, 0.0, 0.4])
+        q = quantile_at(h, 0.25)
+        assert q == np.nextafter(cut, 1.0)
+        assert cdf_at(h, q) >= 0.25
+        assert cdf_at(h, np.nextafter(q, 0.0)) < 0.25
+
+    def test_pinned_ulp_in_zero_mass_top_bin(self):
+        # These masses sum to one ulp below 1, and pinning the cumulative to 1
+        # puts that ulp into the zero-mass top bin.
+        h = Histogram(UNIT, [0.25, 0.375, 0.4375, 0.5], np.array([4, 3, 4, 1, 0]) / 12)
+        p = cdf_at(h, 0.75)
+        assert quantile_at(h, p) <= 0.75
+
     def test_rejects_out_of_range(self):
         h = Histogram(UNIT, [], [1.0])
         with pytest.raises(ValueError):
