@@ -20,7 +20,7 @@ import click
 
 from .evaluation import compare_thresholds
 from .histograms import Domain, ThresholdSet, linearized_quantile_grid, probability_grid
-from .ingestion import CsvSchema, InclusionPolicy, apply_inclusion, empirical_histogram, read_cgm_csv
+from .ingestion import CsvSchema, InclusionPolicy, empirical_histogram, read_cgm_csv
 from .losses import DEFAULT_GRID_SIZE, Cohort, LossKind, LossSpec
 from .optimizers import (
     DEConfig,
@@ -142,50 +142,53 @@ def _load_input(section: dict, method: Method, out_dir: Path):
         return empirical if use == "empirical" else binned
     if kind == "csv":
         _check_keys(section, {"kind", "path", "columns", "on_bad_row", "inclusion"}, "input")
-        if "path" not in section:
-            raise ConfigError("input.path is required for csv inputs")
-        columns = section.get("columns", {})
-        _check_keys(columns, {"id", "time", "value"}, "input.columns")
-        schema = CsvSchema(
-            id_column=columns.get("id", "id"),
-            time_column=columns.get("time", "time"),
-            value_column=columns.get("value", "gl"),
-        )
-        policy_section = section.get("inclusion", {})
-        _check_keys(
-            policy_section,
-            {"short_days", "short_fraction", "mid_days", "mid_fraction",
-             "long_window_days", "long_fraction"},
-            "input.inclusion",
-        )
-        try:
-            policy = InclusionPolicy(**policy_section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid input.inclusion: {exc}")
-        on_bad_row = section.get("on_bad_row", "error")
-        if on_bad_row not in ("error", "skip"):
-            raise ConfigError(f"input.on_bad_row must be 'error' or 'skip', got {on_bad_row!r}")
-        try:
-            result = read_cgm_csv(section["path"], schema=schema, on_bad_row=on_bad_row)
-        except FileNotFoundError:
-            raise DataError(f"input file {section['path']} not found")
-        except ValueError as exc:
-            raise DataError(str(exc))
-        decisions = {s.subject_id: apply_inclusion(s, policy) for s in result.series}
-        kept = [s for s in result.series if decisions[s.subject_id].keep]
-        sidecar = {
-            "clamp_counts": result.clamp_counts,
-            "skipped_rows": [{"line": line, "reason": reason} for line, reason in result.skipped_rows],
-            "decisions": {
-                sid: {"keep": d.keep, "reason": d.reason, "wear_days": d.wear_days}
-                for sid, d in sorted(decisions.items())
-            },
-        }
-        _write_json(out_dir / "ingest_report.json", sidecar)
-        if not kept:
-            raise DataError("no subjects pass the inclusion criteria")
-        return Cohort([empirical_histogram(s) for s in kept])
+        members, _ = _read_csv_input(section, out_dir)
+        return Cohort(members)
     raise ConfigError(f"unknown input kind {kind!r}")
+
+
+def _read_csv_input(section: dict, out_dir: Path, label_column=None):
+    """Histograms of the kept subjects of a csv input and its IngestResult; writes the sidecar."""
+    if "path" not in section:
+        raise ConfigError("input.path is required for csv inputs")
+    columns = section.get("columns", {})
+    _check_keys(columns, {"id", "time", "value"}, "input.columns")
+    schema = CsvSchema(columns.get("id", "id"), columns.get("time", "time"), columns.get("value", "gl"))
+    policy_section = section.get("inclusion", {})
+    _check_keys(policy_section, set(InclusionPolicy.__dataclass_fields__), "input.inclusion")
+    try:
+        policy = InclusionPolicy(**policy_section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid input.inclusion: {exc}")
+    on_bad_row = section.get("on_bad_row", "error")
+    if on_bad_row not in ("error", "skip"):
+        raise ConfigError(f"input.on_bad_row must be 'error' or 'skip', got {on_bad_row!r}")
+    try:
+        result = read_cgm_csv(section["path"], schema, on_bad_row, label_column)
+    except FileNotFoundError:
+        raise DataError(f"input file {section['path']} not found")
+    except ValueError as exc:
+        raise DataError(str(exc))
+    decisions = result.decisions(policy)
+    kept = [s for s in result.series if decisions[s.subject_id].keep]
+    skipped = result.skipped_rows
+    log.info(
+        "ingested %s: %d rows read, %d skipped (first lines %s), %d readings clamped, "
+        "%d subjects kept, %d dropped", section["path"], sum(s.n for s in result.series) + len(skipped),
+        len(skipped), sorted(line for line, _ in skipped)[:5], sum(result.clamp_counts.values()),
+        len(kept), len(result.series) - len(kept))
+    sidecar = {
+        "clamp_counts": result.clamp_counts,
+        "skipped_rows": [{"line": line, "reason": reason} for line, reason in skipped],
+        "decisions": {
+            sid: {"keep": d.keep, "reason": d.reason, "wear_days": d.wear_days}
+            for sid, d in sorted(decisions.items())
+        },
+    }
+    _write_json(out_dir / "ingest_report.json", sidecar)
+    if not kept:
+        raise DataError("no subjects pass the inclusion criteria")
+    return [empirical_histogram(s) for s in kept], result
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -457,39 +460,6 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
     click.echo(f"wrote {out_path / 'benchmark.json'}")
 
 
-def _split_by_label(section: dict, out_dir: Path):
-    """One CSV cohort split into two groups by a per-subject label column."""
-    _check_keys(
-        section, {"kind", "path", "columns", "on_bad_row", "inclusion", "label_column"}, "input"
-    )
-    label_column = section["label_column"]
-    inner = {k: v for k, v in section.items() if k != "label_column"}
-    cohort = _load_input(inner, Method.DIFFERENTIAL_EVOLUTION, out_dir)
-    import csv as _csv
-
-    labels: dict = {}
-    columns = section.get("columns", {})
-    id_column = columns.get("id", "id")
-    with open(section["path"], newline="", encoding="utf-8") as handle:
-        reader = _csv.DictReader(handle)
-        if label_column not in (reader.fieldnames or []):
-            raise DataError(f"label column {label_column!r} not present in {section['path']}")
-        for row in reader:
-            sid, label = row.get(id_column), row.get(label_column)
-            if sid and label is not None:
-                previous = labels.setdefault(sid, label)
-                if previous != label:
-                    raise DataError(f"subject {sid} carries conflicting labels")
-    values = sorted(set(labels.values()))
-    if len(values) != 2:
-        raise DataError(f"label column must carry exactly two values, got {values}")
-    group_a = [m for m in cohort.members if labels.get(m.subject_id) == values[0]]
-    group_b = [m for m in cohort.members if labels.get(m.subject_id) == values[1]]
-    if not group_a or not group_b:
-        raise DataError("both label groups must contain at least one kept subject")
-    return Cohort(group_a), Cohort(group_b)
-
-
 @main.command("evaluate")
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--grid-size", type=int, default=None)
@@ -515,7 +485,21 @@ def cmd_evaluate(config_path, grid_size, out_dir):
         if labeled_single:
             if config["input"].get("kind") != "csv" or "label_column" not in config["input"]:
                 raise ConfigError("single-input evaluation requires a csv input with label_column")
-            cohort_a, cohort_b = _split_by_label(config["input"], out_path)
+            keys = {"kind", "path", "columns", "on_bad_row", "inclusion", "label_column"}
+            _check_keys(config["input"], keys, "input")
+            label_column = config["input"]["label_column"]
+            members, result = _read_csv_input(config["input"], out_path, label_column)
+            if result.labels is None:
+                raise DataError(f"label column {label_column!r} not present in {config['input']['path']}")
+            if result.label_conflict is not None:
+                raise DataError(f"subject {result.label_conflict} carries conflicting labels")
+            values = sorted(set(result.labels.values()))
+            if len(values) != 2:
+                raise DataError(f"label column must carry exactly two values, got {values}")
+            groups = [[m for m in members if result.labels.get(m.subject_id) == v] for v in values]
+            if not all(groups):
+                raise DataError("both label groups must contain at least one kept subject")
+            cohort_a, cohort_b = Cohort(groups[0]), Cohort(groups[1])
         else:
             for key in ("group_a", "group_b"):
                 if key not in config:

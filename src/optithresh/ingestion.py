@@ -9,10 +9,11 @@ and kept series become unit-width integer histograms on [40, 401) so that the
 from __future__ import annotations
 
 import csv
-import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from math import isfinite, nan
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -64,8 +65,9 @@ class SubjectSeries:
             raise ValueError("timestamps and values must have equal length")
         if not self.timestamps:
             raise ValueError("series must contain at least one reading")
-        if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
-            raise ValueError("timestamps must be strictly increasing")
+        stamps = np.asarray(self.timestamps, dtype=float)
+        if not (np.isfinite(stamps).all() and (stamps[1:] > stamps[:-1]).all()):
+            raise ValueError("timestamps must be finite and strictly increasing")
         if self.expected_interval <= 0:
             raise ValueError("expected_interval must be positive")
 
@@ -115,45 +117,40 @@ class IngestResult:
     series: list
     clamp_counts: dict
     skipped_rows: list  # (line_number, reason)
+    labels: Optional[dict] = None  # subject -> label, when a label column was read
+    label_conflict: Optional[str] = None  # first subject seen with two labels
 
     def decisions(self, policy: Optional[InclusionPolicy] = None) -> dict:
         policy = policy or InclusionPolicy()
         return {s.subject_id: apply_inclusion(s, policy) for s in self.series}
 
 
-def _parse_timestamp(raw: str) -> float:
-    text = raw.strip()
+def _iso_timestamp(raw: str) -> float:
+    """Epoch seconds of an ISO 8601 stamp, UTC unless it names a zone; NaN if it is none."""
     try:
-        return float(text)
+        stamp = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
     except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ValueError(f"unparseable timestamp {raw!r}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.timestamp()
+        return nan
+    return (stamp.replace(tzinfo=timezone.utc) if stamp.tzinfo is None else stamp).timestamp()
 
 
 def read_cgm_csv(
     path: Union[str, Path],
     schema: CsvSchema = CsvSchema(),
     on_bad_row: str = "error",
+    label_column: Optional[str] = None,
 ) -> IngestResult:
     """Parse a readings CSV into per-subject, time-sorted series.
 
-    Values outside the measurable range are clamped to its bounds and counted
-    per subject.  Malformed rows (bad number, bad timestamp, duplicate
-    timestamp within a subject) raise by default; with ``on_bad_row="skip"``
-    they are collected with their line numbers instead.  Missing schema columns
-    are always fatal.
+    Out-of-range values are clamped and counted per subject.  Malformed rows
+    (bad number, bad or non-finite timestamp, a subject's repeated timestamp
+    after its first reading) raise by default; with ``on_bad_row="skip"`` they
+    are collected with their line numbers instead.  Missing schema columns are
+    always fatal.  A ``label_column`` is read from every row with an id.
     """
     if on_bad_row not in ("error", "skip"):
         raise ValueError("on_bad_row must be 'error' or 'skip'")
     path = Path(path)
-    by_subject: dict = {}
-    clamp_counts: dict = {}
     skipped: list = []
 
     def bad(line_no: int, reason: str) -> None:
@@ -161,54 +158,71 @@ def read_cgm_csv(
             raise ValueError(f"line {line_no}: {reason}")
         skipped.append((line_no, reason))
 
+    codes_of: dict = {}  # subject id -> code, in order of its first good reading
+    codes, stamps, values, lines = array("q"), array("d"), array("d"), array("q")
+    labels = conflict = None
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             return IngestResult([], {}, [])
-        for column in (schema.id_column, schema.time_column, schema.value_column):
-            if column not in reader.fieldnames:
+        names = (schema.id_column, schema.time_column, schema.value_column)
+        for column in names:
+            if column not in header:
                 raise ValueError(f"missing required column {column!r} in {path}")
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        id_at, time_at, value_at = (position[name] for name in names)
+        width = max(id_at, time_at, value_at) + 1
+        if label_column in header:
+            labels, label_at = {}, position[label_column]
+            label_width = max(id_at, label_at) + 1
         for row in reader:
-            line_no = reader.line_num
-            raw_id = row.get(schema.id_column)
-            raw_time = row.get(schema.time_column)
-            raw_value = row.get(schema.value_column)
-            if not raw_id or raw_time is None or raw_value is None:
-                bad(line_no, "incomplete row")
+            if not row:
                 continue
+            if labels is not None and len(row) >= label_width and row[id_at]:
+                if labels.setdefault(row[id_at], row[label_at]) != row[label_at] and conflict is None:
+                    conflict = row[id_at]
+            if len(row) < width or not row[id_at]:
+                bad(reader.line_num, "incomplete row")
+                continue
+            raw_time, raw_value = row[time_at], row[value_at]
             try:
-                stamp = _parse_timestamp(raw_time)
+                stamp = float(raw_time)
             except ValueError:
-                bad(line_no, f"unparseable timestamp {raw_time!r}")
+                stamp = _iso_timestamp(raw_time)
+            if not isfinite(stamp):
+                bad(reader.line_num, f"unparseable timestamp {raw_time!r}")
                 continue
             try:
                 value = float(raw_value)
             except ValueError:
-                bad(line_no, f"unparseable value {raw_value!r}")
+                bad(reader.line_num, f"unparseable value {raw_value!r}")
                 continue
-            if math.isnan(value):
-                bad(line_no, "missing value")
+            if value != value:
+                bad(reader.line_num, "missing value")
                 continue
-            lo, hi = CLAMP_RANGE
-            if value < lo or value > hi:
-                clamp_counts[raw_id] = clamp_counts.get(raw_id, 0) + 1
-                value = min(max(value, lo), hi)
-            by_subject.setdefault(raw_id, []).append((stamp, value, line_no))
-
-    series = []
-    for subject_id, readings in by_subject.items():
-        readings.sort(key=lambda reading: reading[0])
-        stamps = []
-        values = []
-        for stamp, value, line_no in readings:
-            if stamps and stamp == stamps[-1]:
-                bad(line_no, f"duplicate timestamp {stamp} for subject {subject_id}")
-                continue
+            codes.append(codes_of.setdefault(row[id_at], len(codes_of)))
             stamps.append(stamp)
             values.append(value)
-        if stamps:
-            series.append(SubjectSeries(subject_id, tuple(stamps), tuple(values)))
-    return IngestResult(series, clamp_counts, skipped)
+            lines.append(reader.line_num)
+
+    ids = list(codes_of)
+    code, stamp, value, line = (np.frombuffer(c, c.typecode) for c in (codes, stamps, values, lines))
+    out_of_range = (value < CLAMP_RANGE[0]) | (value > CLAMP_RANGE[1])
+    clamped, first, counts = np.unique(code[out_of_range], return_index=True, return_counts=True)
+    by_first = np.argsort(first)  # keys in order of each subject's first clamp
+    clamp_counts = dict(zip([ids[c] for c in clamped[by_first]], counts[by_first].tolist()))
+    order = np.lexsort((stamp, code))  # stable: equal stamps keep file order
+    code, stamp, value, line = code[order], stamp[order], np.clip(value[order], *CLAMP_RANGE), line[order]
+    # x - y == 0 exactly when x == y for finite floats; the first of a run is never a duplicate.
+    duplicate = (np.diff(code, prepend=-1) == 0) & (np.diff(stamp, prepend=np.nan) == 0)
+    for i in np.flatnonzero(duplicate):
+        bad(int(line[i]), f"duplicate timestamp {float(stamp[i])} for subject {ids[code[i]]}")
+    code, stamp, value = code[~duplicate], stamp[~duplicate].tolist(), value[~duplicate].tolist()
+    bounds = np.searchsorted(code, np.arange(len(ids) + 1)).tolist()
+    series = [SubjectSeries(sid, tuple(stamp[a:b]), tuple(value[a:b]))
+              for sid, a, b in zip(ids, bounds, bounds[1:])]
+    return IngestResult(series, clamp_counts, skipped, labels, conflict)
 
 
 def write_cgm_csv(

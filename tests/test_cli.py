@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 from click.testing import CliRunner
@@ -160,6 +161,30 @@ class TestOptimizeCommand:
         assert payload["thresholds_rounded_up"] is not None
         assert (out / "ingest_report.json").exists()
 
+    def test_csv_ingest_summary_is_logged(self, runner, tmp_path, caplog):
+        rows = ["id,time,gl"]
+        for i in range(60):
+            rows.append(f"alpha,{i * 300},{450 if i < 2 else 100 + i % 7}")
+        rows += ["beta,0,100", "beta,3000,100", "alpha,300,99", ",0,100"] + [f"alpha,x{i},100" for i in range(5)]
+        data = tmp_path / "cgm.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = self.config(
+            tmp_path,
+            input={"kind": "csv", "path": str(data), "on_bad_row": "skip"},
+            method="exhaustive",
+            k=1,
+            grid_size=40,
+        )
+        out = tmp_path / "out"
+        caplog.set_level(logging.INFO, logger="optithresh.cli")
+        result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("ingested")]
+        assert lines == [
+            f"ingested {data}: 69 rows read, 7 skipped (first lines [64, 65, 66, 67, 68]), "
+            "2 readings clamped, 1 subjects kept, 1 dropped"
+        ]
+
 
 class TestSimulateCommand:
     def test_reps_one_omits_standard_errors(self, runner, tmp_path):
@@ -315,6 +340,28 @@ class TestEvaluateLabelColumn:
         assert result.exit_code == 0, result.output
         payload = json.loads((out / "comparison.json").read_text())
         assert payload["n_group_a"] == 3 and payload["n_group_b"] == 3
+
+    def test_conflicting_labels_are_a_data_error(self, runner, tmp_path):
+        rows = ["id,time,gl,group"]
+        for subject in range(4):
+            for i in range(60):
+                group = "healthy" if subject < 2 or (subject == 2 and i == 59) else "t1d"
+                rows.append(f"s{subject},{i * 300},{100 + (i % 9)},{group}")
+        data = tmp_path / "combined.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "labelled.json",
+            {
+                "input": {"kind": "csv", "path": str(data), "label_column": "group"},
+                "threshold_sets": [[70.0, 181.0]],
+                "grid_size": 50,
+            },
+        )
+        result = runner.invoke(main, ["evaluate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "subject s2 carries conflicting labels" in result.output
+        assert (tmp_path / "out" / "ingest_report.json").exists()
 
     def test_identical_groups_accuracy_near_prevalence(self, runner, tmp_path):
         rows = ["id,time,gl"]

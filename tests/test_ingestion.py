@@ -82,6 +82,50 @@ class TestReadCsv:
         assert by_id["a"].values == (100.0, 101.0)
         assert by_id["b"].values == (90.0, 91.0)
 
+    def test_non_finite_timestamps_are_bad_rows(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("id,time,gl\na,0,100\na,nan,101\na,300,102\na,inf,103\na,-inf,104\n")
+        with pytest.raises(ValueError, match="line 3: unparseable timestamp 'nan'"):
+            read_cgm_csv(path)
+        result = read_cgm_csv(path, on_bad_row="skip")
+        assert result.skipped_rows == [
+            (3, "unparseable timestamp 'nan'"),
+            (5, "unparseable timestamp 'inf'"),
+            (6, "unparseable timestamp '-inf'"),
+        ]
+        assert result.series[0].timestamps == (0.0, 300.0)
+        assert result.series[0].wear_days == 300.0 / 86400.0
+
+    def test_labels_read_in_the_same_pass(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        # Line 4 has a bad time and line 5 no value; both still carry a label.
+        path.write_text("id,time,gl,group\na,0,100,x\nb,0,90,y\nc,oops,95,y\nd,0\n")
+        result = read_cgm_csv(path, on_bad_row="skip", label_column="group")
+        assert result.labels == {"a": "x", "b": "y", "c": "y"}
+        assert result.label_conflict is None
+        assert [s.subject_id for s in result.series] == ["a", "b"]
+        assert read_cgm_csv(path, on_bad_row="skip", label_column="cohort").labels is None
+        assert read_cgm_csv(path, on_bad_row="skip").labels is None
+
+    def test_first_label_conflict_in_file_order(self, tmp_path):
+        path = tmp_path / "conflict.csv"
+        path.write_text("id,time,gl,group\na,0,100,x\nb,0,90,y\nb,300,91,x\na,300,101,y\n")
+        result = read_cgm_csv(path, label_column="group")
+        assert result.label_conflict == "b"
+        assert len(result.series) == 2
+
+    def test_line_numbers_count_blank_lines_and_quoted_newlines(self, tmp_path):
+        # Blank lines and quoted newlines count; a row is numbered by its last physical line.
+        path = tmp_path / "lines.csv"
+        path.write_text('id,time,gl\n\n\na,zz,100\n"b\nc",0,x\n\na,0,100\na,0,101\n')
+        with pytest.raises(ValueError, match="line 4: unparseable timestamp 'zz'"):
+            read_cgm_csv(path)
+        assert read_cgm_csv(path, on_bad_row="skip").skipped_rows == [
+            (4, "unparseable timestamp 'zz'"),
+            (6, "unparseable value 'x'"),
+            (9, "duplicate timestamp 0.0 for subject a"),
+        ]
+
     def test_missing_column_fatal(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("id,when,gl\na,0,100\n")
@@ -177,6 +221,11 @@ class TestSubjectSeries:
     def test_strictly_increasing_timestamps(self):
         with pytest.raises(ValueError, match="increasing"):
             SubjectSeries("s", (0.0, 0.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("stamps", [(0.0, float("inf")), (float("-inf"), 0.0), (0.0, float("nan"), 600.0)])
+    def test_non_finite_timestamps_rejected(self, stamps):
+        with pytest.raises(ValueError, match="finite"):
+            SubjectSeries("s", stamps, (1.0,) * len(stamps))
 
     def test_non_empty(self):
         with pytest.raises(ValueError, match="at least one"):
