@@ -18,9 +18,9 @@ from pathlib import Path
 
 import click
 
-from .evaluation import compare_thresholds
+from .evaluation import compare_thresholds, tir_summary
 from .histograms import Domain, ThresholdSet, linearized_quantile_grid, probability_grid
-from .ingestion import CsvSchema, InclusionPolicy, empirical_histogram, read_cgm_csv
+from .ingestion import CsvSchema, InclusionPolicy, _reprs, _write_float_rows, empirical_histogram, read_cgm_csv
 from .losses import DEFAULT_GRID_SIZE, Cohort, LossKind, LossSpec
 from .optimizers import (
     DEConfig,
@@ -132,7 +132,7 @@ def _load_input(section: dict, method: Method, out_dir: Path):
     if kind == "simulation":
         _check_keys(section, {"kind", "mixture", "seed", "use"}, "input")
         spec = _mixture_spec(section.get("mixture", {}))
-        seed = int(section.get("seed", 0))
+        seed = _integer(section.get("seed", 0), "input.seed", 0)
         empirical, binned = generate_cohort(spec, seed)
         use = section.get("use", "auto")
         if use not in ("auto", "empirical", "binned"):
@@ -335,28 +335,22 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
     }
     _write_json(out_path / "result.json", payload)
 
-    from .evaluation import tir_summary
-
     summary = tir_summary(cohort, result.thresholds)
-    _write_csv(
+    _write_float_rows(
         out_path / "tir_summary.csv",
         ["subject_id", *summary.range_labels],
-        [
-            [sid, *(repr(float(v)) for v in row)]
-            for sid, row in zip(summary.subject_ids, summary.per_subject)
-        ],
+        ((sid, [_reprs(row)]) for sid, row in zip(summary.subject_ids, summary.per_subject)),
     )
 
     grid = result.loss_spec.grid_size
-    u = probability_grid(grid)
+    u = _reprs(probability_grid(grid))
     base = cohort.quantile_matrix(grid)
-    rows = []
-    for i, member in enumerate(cohort.members):
-        lin = linearized_quantile_grid(member, result.thresholds, grid).values
-        sid = member.subject_id if member.subject_id is not None else str(i)
-        for m in range(grid):
-            rows.append([sid, repr(float(u[m])), repr(float(base[i, m])), repr(float(lin[m]))])
-    _write_csv(out_path / "linearization.csv", ["subject_id", "u", "q", "q_linearized"], rows)
+    blocks = (  # one member at a time: the file is never held as rows
+        (member.subject_id if member.subject_id is not None else str(i),
+         zip(u, _reprs(base[i]), _reprs(linearized_quantile_grid(member, result.thresholds, grid).values)))
+        for i, member in enumerate(cohort.members)
+    )
+    _write_float_rows(out_path / "linearization.csv", ["subject_id", "u", "q", "q_linearized"], blocks)
     click.echo(f"wrote {out_path / 'result.json'}")
 
 
@@ -483,14 +477,15 @@ def cmd_evaluate(config_path, grid_size, out_dir):
         out_path = Path(out_dir or config.get("out", "."))
         out_path.mkdir(parents=True, exist_ok=True)
         if labeled_single:
-            if config["input"].get("kind") != "csv" or "label_column" not in config["input"]:
+            single = config["input"]
+            if not (isinstance(single, dict) and single.get("kind") == "csv" and "label_column" in single):
                 raise ConfigError("single-input evaluation requires a csv input with label_column")
             keys = {"kind", "path", "columns", "on_bad_row", "inclusion", "label_column"}
-            _check_keys(config["input"], keys, "input")
-            label_column = config["input"]["label_column"]
-            members, result = _read_csv_input(config["input"], out_path, label_column)
+            _check_keys(single, keys, "input")
+            label_column = single["label_column"]
+            members, result = _read_csv_input(single, out_path, label_column)
             if result.labels is None:
-                raise DataError(f"label column {label_column!r} not present in {config['input']['path']}")
+                raise DataError(f"label column {label_column!r} not present in {single['path']}")
             if result.label_conflict is not None:
                 raise DataError(f"subject {result.label_conflict} carries conflicting labels")
             values = sorted(set(result.labels.values()))

@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from math import isfinite, nan
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -229,12 +230,27 @@ def write_cgm_csv(
     path: Union[str, Path], series: Sequence[SubjectSeries], schema: CsvSchema = CsvSchema()
 ) -> None:
     """Write series back to CSV (timestamps as epoch seconds, full precision)."""
+    header = [schema.id_column, schema.time_column, schema.value_column]
+    _write_float_rows(path, header, ((s.subject_id, zip(_reprs(s.timestamps), _reprs(s.values))) for s in series))
+
+
+def _reprs(values) -> list:
+    """``repr(float(x))`` of every value, in one pass."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_float_rows(path, header, blocks) -> None:
+    """Write a CSV one block at a time, with the bytes ``csv.writer`` gives the same rows.
+
+    Block ``(subject_id, rows)`` holds rows of cells formatted by ``_reprs`` and is written as
+    the rows ``[subject_id, *cells]``: the id is quoted once and the block is one write.
+    """
+    row_text = csv.writer(SimpleNamespace(write=str))  # writerow returns what write returns: the row's text
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([schema.id_column, schema.time_column, schema.value_column])
-        for s in series:
-            for stamp, value in zip(s.timestamps, s.values):
-                writer.writerow([s.subject_id, repr(float(stamp)), repr(float(value))])
+        handle.write(row_text.writerow(header))
+        for subject_id, rows in blocks:
+            lead = row_text.writerow((subject_id, ""))[:-2]  # the id, quoted as in a row, and its comma
+            handle.write("".join([lead + ",".join(cells) + "\r\n" for cells in rows]))
 
 
 def apply_inclusion(series: SubjectSeries, policy: InclusionPolicy = InclusionPolicy()) -> InclusionDecision:

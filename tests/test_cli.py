@@ -1,10 +1,26 @@
+import csv
 import json
 import logging
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from optithresh import cli
 from optithresh.cli import main
+from optithresh.evaluation import tir_summary
+from optithresh.histograms import (
+    Domain,
+    EmpiricalSample,
+    Histogram,
+    ThresholdSet,
+    linearized_quantile_grid,
+    probability_grid,
+)
+from optithresh.ingestion import apply_inclusion, empirical_histogram, read_cgm_csv
+from optithresh.losses import Cohort
 
 
 SMALL_MIXTURE = {
@@ -61,6 +77,7 @@ class TestOptimizeCommand:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
         assert (out1 / "tir_summary.csv").read_bytes() == (out2 / "tir_summary.csv").read_bytes()
+        assert (out1 / "linearization.csv").read_bytes() == (out2 / "linearization.csv").read_bytes()
 
     def test_fixed_thresholds_surface_in_result(self, runner, tmp_path):
         cfg = self.config(tmp_path, method="de", k=3, fixed=[110.0, 180.0])
@@ -121,6 +138,14 @@ class TestOptimizeCommand:
         assert result.exit_code == 2, result.output
         name = "seed" if "seed" in overrides or "--seed" in flags else "k"
         assert f"{name} must be" in result.output
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("seed", [1.7, "one", True, -1], ids=["fraction", "word", "bool", "negative"])
+    def test_bad_input_seed_is_config_error(self, runner, tmp_path, seed):
+        cfg = self.config(tmp_path, input={"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": seed})
+        result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "input.seed must be" in result.output
         assert not (tmp_path / "result.json").exists()
 
     def test_invalid_on_bad_row_is_config_error(self, runner, tmp_path):
@@ -184,6 +209,143 @@ class TestOptimizeCommand:
             f"ingested {data}: 69 rows read, 7 skipped (first lines [64, 65, 66, 67, 68]), "
             "2 readings clamped, 1 subjects kept, 1 dropped"
         ]
+
+    def test_csv_input_with_quoted_ids(self, runner, tmp_path):
+        ids = ["a,b", 'q"x', "x\ny", "x\ry", " pad ", "é"]
+        data = tmp_path / "cgm.csv"
+        with data.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["id", "time", "gl"])
+            for s, sid in enumerate(ids):
+                writer.writerows([sid, i * 300, 90 + 20 * s + i % 7] for i in range(60))
+        cfg = self.config(
+            tmp_path, input={"kind": "csv", "path": str(data)}, method="exhaustive", k=1, grid_size=40
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with (out / "linearization.csv").open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1:]] == [sid for sid in ids for _ in range(40)]
+        with (out / "tir_summary.csv").open(newline="", encoding="utf-8") as handle:
+            assert [row[0] for row in list(csv.reader(handle))[1:]] == ids
+        kept = [s for s in read_cgm_csv(data).series if apply_inclusion(s).keep]
+        cohort = Cohort([empirical_histogram(s) for s in kept])
+        thresholds = json.loads((out / "result.json").read_text())["thresholds"]
+        expected = tmp_path / "expected"
+        row_list_artifacts(cohort, thresholds, 40, expected)
+        for name in ("tir_summary.csv", "linearization.csv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_artifact_memory_does_not_grow_with_the_cohort(self, runner, tmp_path, monkeypatch):
+        """Writing the artifacts of 200 members at M=200 adds under 1 MB to what the solved run holds."""
+        rng = np.random.default_rng(5)
+        domain = Domain(40.0, 400.0)
+        cohort = Cohort([EmpiricalSample(domain, rng.uniform(40, 400, 100), f"s{i:03d}") for i in range(200)])
+        monkeypatch.setattr(cli, "_load_input", lambda *args: cohort)
+        solve, held = cli.optimize, []
+
+        def solve_then_reset_peak(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])  # what the run holds when the writing starts
+            return result
+
+        monkeypatch.setattr(cli, "optimize", solve_then_reset_peak)
+        cfg = self.config(tmp_path, k=1, fixed=[180.0], grid_size=200)
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert len((tmp_path / "out" / "linearization.csv").read_text().splitlines()) == 1 + 200 * 200
+        assert peak < 1_000_000
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def row_list_artifacts(cohort, thresholds, grid, out_path):
+    """``tir_summary.csv`` and ``linearization.csv`` from the row-list writer that ``optimize``
+    used before it streamed them: that code verbatim (and ``_write_csv``), fed ``thresholds``
+    and ``grid`` instead of reading them from a result."""
+    thresholds = ThresholdSet(tuple(thresholds))
+    summary = tir_summary(cohort, thresholds)
+    _write_csv(
+        out_path / "tir_summary.csv",
+        ["subject_id", *summary.range_labels],
+        [
+            [sid, *(repr(float(v)) for v in row)]
+            for sid, row in zip(summary.subject_ids, summary.per_subject)
+        ],
+    )
+
+    u = probability_grid(grid)
+    base = cohort.quantile_matrix(grid)
+    rows = []
+    for i, member in enumerate(cohort.members):
+        lin = linearized_quantile_grid(member, thresholds, grid).values
+        sid = member.subject_id if member.subject_id is not None else str(i)
+        for m in range(grid):
+            rows.append([sid, repr(float(u[m])), repr(float(base[i, m])), repr(float(lin[m]))])
+    _write_csv(out_path / "linearization.csv", ["subject_id", "u", "q", "q_linearized"], rows)
+
+
+AWKWARD_IDS = ["", "a,b", 'q"x', "x\ny", "x\ry", " pad ", "é", None]
+
+
+def _sample_cohort(rng):
+    # Values below 1e-4 print in exponent form.
+    domain = Domain(0.0, 1e-4)
+    return Cohort([
+        EmpiricalSample(domain, rng.uniform(0.0, 1e-4, 9 + i), sid) for i, sid in enumerate(AWKWARD_IDS)
+    ]), (2.5e-05, 7e-05)
+
+
+def _histogram_cohort(rng, shared):
+    # A domain at 1e16 prints its values in exponent form, and masses of 1e-7 their proportions.
+    lower = 1e16
+    domain = Domain(lower, lower + 4096.0)
+    members = []
+    for i, sid in enumerate(AWKWARD_IDS):
+        cuts = lower + np.array([512.0, 1024.0, 2048.0, 3072.0]) + (0.0 if shared else 64.0 * i)
+        masses = np.append(rng.dirichlet(np.ones(4)) * (1 - 1e-7), 1e-7)
+        members.append(Histogram(domain, cuts, masses / masses.sum(), sid))
+    thresholds = (lower + 1024.0, lower + 3072.0) if shared else (lower + 1000.0, lower + 3500.0)
+    return Cohort(members), thresholds
+
+
+class TestOptimizeArtifacts:
+    """The streamed artifacts are byte for byte those of the row-list writer."""
+
+    @pytest.mark.parametrize("kind", ["sample", "shared-histogram", "histogram"])
+    @pytest.mark.parametrize("grid_size", [1, 7, 200])
+    def test_bytes_match_row_list_writer(self, runner, tmp_path, monkeypatch, kind, grid_size):
+        rng = np.random.default_rng([grid_size, len(kind)])
+        if kind == "sample":
+            cohort, thresholds = _sample_cohort(rng)
+        else:
+            cohort, thresholds = _histogram_cohort(rng, shared=kind == "shared-histogram")
+        monkeypatch.setattr(cli, "_load_input", lambda *args: cohort)
+        cfg = write_config(tmp_path, "artifacts.json", {"input": {"kind": "simulation"}, "loss": "l1"})
+        out = tmp_path / "out"
+        fixed = ",".join(repr(t) for t in thresholds)
+        args = ["optimize", "--config", cfg, "--k", "2", "--fixed", fixed, "--grid-size", str(grid_size)]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "result.json").read_text())["thresholds"] == list(thresholds)
+        row_list_artifacts(cohort, thresholds, grid_size, tmp_path / "expected")
+        for name in ("tir_summary.csv", "linearization.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+        text = (out / "linearization.csv").read_text(encoding="utf-8")
+        assert "e-05" in text or "e+16" in text
 
 
 class TestSimulateCommand:
@@ -314,6 +476,12 @@ class TestEvaluateCommand:
         )
         result = runner.invoke(main, ["evaluate", "--config", cfg])
         assert result.exit_code == 2
+
+    def test_non_object_input_is_config_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "evaluate.json", {"input": ["x"], "threshold_sets": [[70]]})
+        result = runner.invoke(main, ["evaluate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "single-input evaluation requires a csv input with label_column" in result.output
 
 
 class TestEvaluateLabelColumn:

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,16 @@ from optithresh.ingestion import (
 )
 
 FIVE_MIN = 300.0
+
+
+def awkward_series():
+    """Series whose ids need quoting in CSV (or look as if they might)."""
+    rng = np.random.default_rng(11)
+    series = []
+    for i, sid in enumerate(["a,b", 'q"x', "x\ny", "x\ry", " pad ", "é", "plain"]):
+        stamps = np.cumsum(rng.uniform(0.1, 600.0, 5 + i)) + 1.7e9
+        series.append(SubjectSeries(sid, tuple(stamps.tolist()), tuple(rng.uniform(40, 400, 5 + i).tolist())))
+    return series
 
 
 def make_series(subject="s1", n=288, interval=FIVE_MIN, start=1_700_000_000.0, value=100.0):
@@ -144,6 +157,7 @@ class TestReadCsv:
         series = [
             SubjectSeries("a", (0.0, 300.0, 650.5), (100.0, 101.5, 99.0)),
             SubjectSeries("b", (10.0, 310.0), (80.0, 82.0)),
+            *awkward_series(),
         ]
         write_cgm_csv(path, series)
         result = read_cgm_csv(path)
@@ -152,6 +166,29 @@ class TestReadCsv:
             loaded = by_id[original.subject_id]
             assert loaded.timestamps == original.timestamps
             assert loaded.values == original.values
+
+
+def row_list_write_cgm_csv(path, series, schema=CsvSchema()) -> None:
+    """``write_cgm_csv`` as it was before it shared the streaming writer (its body verbatim)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([schema.id_column, schema.time_column, schema.value_column])
+        for s in series:
+            for stamp, value in zip(s.timestamps, s.values):
+                writer.writerow([s.subject_id, repr(float(stamp)), repr(float(value))])
+
+
+class TestWriteCsv:
+    def test_bytes_match_row_list_writer(self, tmp_path):
+        series = awkward_series() + [
+            SubjectSeries("", (1e-07, 0.5, 1e20), (1e-05, 40.0, 1e300)),
+            SubjectSeries(None, (np.float64(3.0), 4), (np.float32(0.1), 7)),
+        ]
+        for schema in (CsvSchema(), CsvSchema('sub"ject', "t,s", " gl ")):
+            write_cgm_csv(tmp_path / "new.csv", series, schema)
+            row_list_write_cgm_csv(tmp_path / "old.csv", series, schema)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert b"1e+20,1e+300" in (tmp_path / "new.csv").read_bytes()
 
 
 class TestInclusion:
