@@ -5,6 +5,7 @@ anchor points ``(p_k, v_k)`` with probabilities ``p_k`` in [0, 1].  This module
 evaluates such curves left-continuously: an exact hit on an anchor probability
 returns the first value of the tied run, and repeated probabilities (jumps of
 the curve) are bridged by the nearest strictly increasing pair of anchors.
+Brackets come from exact searches, so every row is evaluated as if on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def _bracket_shared_sorted(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Searches the few anchors among the many queries: queries with index in
     [e_{k-1}, e_k), where e_k counts queries at or below anchor k, take anchor
-    k as the upper bracket.  Exact (no floating-point shifts involved).
+    k as the upper bracket.
     """
     rows, n_anchors = p.shape
     n_queries = q.shape[0]
@@ -29,30 +30,38 @@ def _bracket_shared_sorted(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return local + np.repeat(np.arange(rows) * n_anchors, n_queries)
 
 
-def _bracket_offset(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hi-anchor index for per-row query matrices, via one global searchsorted.
+def _interpolate(p: np.ndarray, v: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Curve values at ``q`` on the segments that end at flat anchor indices ``hi``.
 
-    Rows are shifted into disjoint blocks; the shift rounds at ~``2R * 2**-52``,
-    so query/anchor pairs closer than that (without being exactly equal) may
-    bracket to the neighbouring segment.
+    ``p`` and ``v`` hold the anchors of all rows back to back, and ``hi`` is,
+    for each query, the first anchor of its row whose probability is at least
+    the query (but never the row's first anchor).
     """
-    rows, n_anchors = p.shape
-    n_queries = q.shape[1]
-    offsets = 2.0 * np.arange(rows, dtype=np.float64)[:, None]
-    pos = np.searchsorted((p + offsets).ravel(), (q + offsets).ravel(), side="left")
-    base = np.repeat(np.arange(rows) * n_anchors, n_queries)
-    return np.clip(pos, base + 1, base + n_anchors - 1)
+    hi_p = p[hi]
+    lo_p = p[hi - 1]
+    hi_v = v[hi]
+    lo_v = v[hi - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = lo_v + (q - lo_p) / (hi_p - lo_p) * (hi_v - lo_v)
+    # The true value lies in [lo_v, hi_v]; clamping removes last-ulp overshoot
+    # so outputs stay monotone across segment boundaries.
+    np.clip(out, lo_v, hi_v, out=out)
+    # Exact anchor hits are left-continuous.
+    pinned = hi_p == q
+    if pinned.any():
+        out = np.where(pinned, hi_v, out)
+    return out
 
 
 def interp_rows(anchors_p: np.ndarray, anchors_v: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Evaluate piecewise-linear curves row by row.
+    """Evaluate piecewise-linear curves row by row at shared queries.
 
     Args:
         anchors_p: probabilities, shape (A,) or (R, A), non-decreasing per row,
             with first element 0 and last element 1.
         anchors_v: curve values at the anchors, same shape, non-decreasing per row.
-        queries: probabilities strictly inside (0, 1], shape (Q,) shared by all
-            rows or (R, Q) per row.  Shared queries must be sorted ascending.
+        queries: probabilities strictly inside (0, 1], shape (Q,), shared by
+            all rows; sorted ascending when there is more than one row.
 
     Returns:
         Array of shape (R, Q) with the evaluated values.
@@ -64,39 +73,12 @@ def interp_rows(anchors_p: np.ndarray, anchors_v: np.ndarray, queries: np.ndarra
     rows, n_anchors = p.shape
     if n_anchors < 2:
         raise ValueError("need at least two anchors per row")
-
     q = np.asarray(queries, dtype=np.float64)
-    shared = q.ndim == 1
-    if not shared and q.shape[0] != rows:
-        raise ValueError(f"query rows {q.shape[0]} do not match anchor rows {rows}")
-    n_queries = q.shape[-1]
+    if q.ndim != 1:
+        raise ValueError(f"queries must be one-dimensional, got shape {q.shape}")
 
     if rows == 1:
-        flat_q = q.ravel()
-        pos = np.searchsorted(p[0], flat_q, side="left")
-        pos = np.clip(pos, 1, n_anchors - 1)
-    elif shared:
-        flat_q = np.tile(q, rows)
-        pos = _bracket_shared_sorted(p, q)
+        pos = np.clip(np.searchsorted(p[0], q, side="left"), 1, n_anchors - 1)
     else:
-        flat_q = q.ravel()
-        pos = _bracket_offset(p, q)
-
-    p_flat = p.ravel()
-    v_flat = v.ravel()
-    hi_p = p_flat[pos]
-    lo_p = p_flat[pos - 1]
-    hi_v = v_flat[pos]
-    lo_v = v_flat[pos - 1]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = lo_v + (flat_q - lo_p) / (hi_p - lo_p) * (hi_v - lo_v)
-    # The true value lies in [lo_v, hi_v]; clamping removes last-ulp overshoot
-    # so outputs stay monotone across segment boundaries.
-    np.clip(out, lo_v, hi_v, out=out)
-    # Exact anchor hits are left-continuous; a degenerate bracket (possible only
-    # when a row shift collapsed a query onto a tied run) resolves the same way.
-    pinned = (hi_p == flat_q) | (hi_p == lo_p)
-    if pinned.any():
-        out = np.where(pinned, hi_v, out)
-    return out.reshape(rows, n_queries)
+        pos = _bracket_shared_sorted(p, q)
+    return _interpolate(p.ravel(), v.ravel(), pos, np.tile(q, rows)).reshape(rows, q.size)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -52,6 +53,8 @@ def _fail(code: int, message: str) -> None:
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
@@ -85,14 +88,13 @@ def _mixture_spec(section: dict) -> MixtureSpec:
     }
     _check_keys(section, allowed, "input.mixture")
     kwargs = dict(section)
-    if "domain" in kwargs:
-        lower, upper = kwargs["domain"]
-        kwargs["domain"] = Domain(float(lower), float(upper))
-    if "base_thresholds" in kwargs:
-        kwargs["base_thresholds"] = tuple(kwargs["base_thresholds"])
-    if "histogram_cutoffs" in kwargs:
-        kwargs["histogram_cutoffs"] = tuple(kwargs["histogram_cutoffs"])
     try:
+        if "domain" in kwargs:
+            lower, upper = (float(v) for v in kwargs["domain"])
+            kwargs["domain"] = Domain(lower, upper)
+        for key in ("base_thresholds", "histogram_cutoffs"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
         return MixtureSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid input.mixture: {exc}")
@@ -110,10 +112,13 @@ def _de_config(section: dict, seed) -> DEConfig:
     _check_keys(section, allowed, "de")
     kwargs = dict(section)
     if seed is not None:
-        kwargs["seed"] = int(seed)
-    if "mutation_range" in kwargs:
-        kwargs["mutation_range"] = tuple(kwargs["mutation_range"])
+        kwargs["seed"] = seed
+    for key, minimum in (("population_size_per_dim", 4), ("max_generations", 1), ("seed", 0)):
+        if key in kwargs:
+            kwargs[key] = _integer(kwargs[key], f"de.{key}", minimum)
     try:
+        if "mutation_range" in kwargs:
+            kwargs["mutation_range"] = tuple(kwargs["mutation_range"])
         return DEConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid de section: {exc}")
@@ -229,15 +234,22 @@ def _grid_size(flag, config: dict) -> int:
 
 
 def _parse_fixed(raw) -> tuple:
+    """Sorted fixed thresholds from a comma-separated flag or a config list of numbers."""
     if raw is None:
         return ()
     if isinstance(raw, str):
         parts = [p for p in raw.split(",") if p.strip()]
-        try:
-            return tuple(sorted(float(p) for p in parts))
-        except ValueError:
-            raise ConfigError(f"cannot parse fixed thresholds from {raw!r}")
-    return tuple(sorted(float(v) for v in raw))
+    elif isinstance(raw, list):
+        parts = raw
+    else:
+        raise ConfigError(f"fixed must be a list of numbers, got {raw!r}")
+    try:
+        values = tuple(sorted(float(p) for p in parts))
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse fixed thresholds from {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"fixed thresholds must be finite, got {raw!r}")
+    return values
 
 
 @click.group()

@@ -373,10 +373,6 @@ def soft_amalgamate(h: Histogram, t: ThresholdSet) -> Histogram:
     return Histogram(h.domain, t.values, masses, subject_id=h.subject_id)
 
 
-def _histogram_anchor_probs(h: Histogram, thresholds: np.ndarray) -> np.ndarray:
-    return _cdf_values(h, thresholds)
-
-
 def _histogram_anchor_values(h: Histogram, probs: np.ndarray) -> np.ndarray:
     """q(F(t)) for each anchor probability, with the 0-anchor convention q(0+)."""
     values = np.empty_like(probs)
@@ -398,7 +394,7 @@ def linearized_quantile_grid(source: Distribution, t: ThresholdSet, grid_size: i
     t.validate_for(source.domain)
     u = probability_grid(grid_size)
     if isinstance(source, Histogram):
-        probs = _histogram_anchor_probs(source, t.values)
+        probs = _cdf_values(source, t.values)
         vals = _histogram_anchor_values(source, probs)
         p_anchors = np.concatenate(([0.0], probs, [1.0]))
         v_anchors = np.concatenate(([source.support_lower], vals, [source.support_upper]))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._interp import interp_rows
+from ._interp import _interpolate, interp_rows
 from .histograms import (
     Distribution,
     EmpiricalSample,
@@ -128,19 +128,14 @@ class Cohort:
         key = ("qmat", grid_size)
         if key not in self._cache:
             u = probability_grid(grid_size)
-            if self.kind == "histogram" and self.shared_cutoffs is not None:
-                tables = self._hist_tables()
-                edges = np.broadcast_to(tables.edges, tables.cum.shape)
-                mat = interp_rows(tables.cum, edges, u)
-            elif self.kind == "histogram":
-                mat = np.vstack(
-                    [interp_rows(m.cumulative, m.edges, u) for m in self.members]
-                )
+            tables = self._anchor_tables()
+            if self.kind == "histogram":
+                mat = _histogram_quantiles(tables, u)
             else:
-                tables = self._sample_tables()
-                idx = np.ceil(u[None, :] * tables.sizes[:, None] - 1e-9).astype(np.int64)
-                np.clip(idx, 1, tables.sizes[:, None], out=idx)
-                mat = tables.values_flat[tables.starts[:, None] + idx - 1]
+                values = tables.values
+                idx = np.ceil(u[None, :] * values.sizes[:, None] - 1e-9).astype(np.int64)
+                np.clip(idx, 1, values.sizes[:, None], out=idx)
+                mat = values.flat[values.starts[:, None] + idx - 1]
             mat.setflags(write=False)
             self._cache[key] = mat
         return self._cache[key]
@@ -174,49 +169,23 @@ class Cohort:
 
     # Internal anchor tables -------------------------------------------------
 
-    def _hist_tables(self) -> "_HistTables":
-        if "hist_tables" not in self._cache:
-            if self.shared_cutoffs is None:
-                raise ValueError("anchor tables require shared cutoffs")
-            edges = self.members[0].edges
-            cum = np.vstack([m.cumulative for m in self.members])
-            support_lower = np.array([m.support_lower for m in self.members])
-            support_upper = np.array([m.support_upper for m in self.members])
-            n_cols = cum.shape[1]
-            idx = np.arange(n_cols)
-            new_run = np.ones(cum.shape, dtype=bool)
-            new_run[:, 1:] = cum[:, 1:] != cum[:, :-1]
-            first_occurrence = np.maximum.accumulate(np.where(new_run, idx, 0), axis=1)
-            qf = edges[first_occurrence]
-            # Anchors at probability zero take the q(0+) convention.
-            qf = np.where(cum == 0.0, support_lower[:, None], qf)
-            self._cache["hist_tables"] = _HistTables(
-                edges=edges,
-                cum=cum,
-                qf=qf,
-                support_lower=support_lower,
-                support_upper=support_upper,
-            )
-        return self._cache["hist_tables"]
-
-    def _sample_tables(self) -> "_SampleTables":
-        if "sample_tables" not in self._cache:
-            sizes = np.array([m.n for m in self.members], dtype=np.int64)
-            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            values_flat = np.concatenate([m.sorted_values for m in self.members])
-            span = self.domain.width + 1.0
-            offsets = span * np.arange(self.n, dtype=np.float64)
-            shifted_flat = values_flat + np.repeat(offsets, sizes)
-            self._cache["sample_tables"] = _SampleTables(
-                sizes=sizes,
-                starts=starts,
-                values_flat=values_flat,
-                shifted_flat=shifted_flat,
-                offsets=offsets,
-                mins=values_flat[starts],
-                maxs=values_flat[starts + sizes - 1],
-            )
-        return self._cache["sample_tables"]
+    def _anchor_tables(self) -> "_AnchorTables":
+        if "anchor_tables" not in self._cache:
+            if self.kind == "histogram":
+                tables = _AnchorTables(
+                    lower=np.array([m.support_lower for m in self.members]),
+                    upper=np.array([m.support_upper for m in self.members]),
+                    edges=_Rows([m.edges for m in self.members]),
+                    cum=_Rows([m.cumulative for m in self.members]),
+                )
+            else:
+                values = _Rows([m.sorted_values for m in self.members])
+                ends = values.starts + values.sizes - 1
+                tables = _AnchorTables(
+                    lower=values.flat[values.starts], upper=values.flat[ends], values=values
+                )
+            self._cache["anchor_tables"] = tables
+        return self._cache["anchor_tables"]
 
     def _l1_scorer(self, grid_size: int) -> "_L1Scorer":
         key = ("l1_scorer", grid_size)
@@ -225,31 +194,70 @@ class Cohort:
         return self._cache[key]
 
 
-@dataclass
-class _HistTables:
-    edges: np.ndarray          # (J+2,)
-    cum: np.ndarray            # (n, J+2) cumulative mass at every edge
-    qf: np.ndarray             # (n, J+2) quantile at the cumulative of every edge
-    support_lower: np.ndarray  # (n,)
-    support_upper: np.ndarray  # (n,)
+class _Rows:
+    """Non-decreasing float rows stored back to back, searched exactly row by row.
+
+    When all rows are equal (the edges of shared cutoffs), queries shared by
+    all rows are searched once, in that common row.
+    """
+
+    def __init__(self, rows: Sequence[np.ndarray]):
+        self.sizes = np.array([row.size for row in rows], dtype=np.int64)
+        self.starts = np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+        self.flat = np.concatenate(rows)
+        self.rows = [self.flat[s:s + k] for s, k in zip(self.starts.tolist(), self.sizes.tolist())]
+        same = all(row.size == rows[0].size and np.array_equal(row, rows[0]) for row in rows)
+        self.common = self.rows[0] if same else None
+
+    def search(self, queries: np.ndarray, side: str) -> np.ndarray:
+        """Flat index ``start + np.searchsorted(row, query, side)`` of every row and query.
+
+        ``queries`` has shape (Q,), shared by all rows, or (n, Q); the result is (n, Q).
+        """
+        if self.common is not None and np.ndim(queries) == 1:
+            local = np.searchsorted(self.common, queries, side=side)
+        else:
+            per_row = np.broadcast_to(queries, (len(self.rows), np.shape(queries)[-1]))
+            local = np.array([np.searchsorted(row, q, side=side) for row, q in zip(self.rows, per_row)])
+        return self.starts[:, None] + local
 
 
 @dataclass
-class _SampleTables:
-    sizes: np.ndarray        # (n,)
-    starts: np.ndarray       # (n,)
-    values_flat: np.ndarray  # concatenated sorted member values
-    shifted_flat: np.ndarray # same, shifted into disjoint per-member blocks
-    offsets: np.ndarray      # (n,) block shifts
-    mins: np.ndarray         # (n,)
-    maxs: np.ndarray         # (n,)
+class _AnchorTables:
+    lower: np.ndarray                # (n,) value of each member's 0-anchor
+    upper: np.ndarray                # (n,) value of its 1-anchor
+    values: Optional[_Rows] = None   # sorted values of sample members
+    edges: Optional[_Rows] = None    # bin edges of histogram members
+    cum: Optional[_Rows] = None      # cumulative mass at every edge
 
 
-# Anchor construction --------------------------------------------------------
+def _histogram_quantiles(tables: _AnchorTables, probs: np.ndarray) -> np.ndarray:
+    """Left-continuous quantiles of histogram members, (n, Q), at probabilities in (0, 1].
+
+    ``probs`` has shape (Q,), shared by all members, or (n, Q); values at
+    probability zero are not meaningful.
+    """
+    cum = tables.cum
+    first = cum.starts[:, None]
+    hi = np.clip(cum.search(probs, "left"), first + 1, first + cum.sizes[:, None] - 1)
+    return _interpolate(cum.flat, tables.edges.flat, hi, np.broadcast_to(probs, hi.shape))
+
+
+# The linearization kernel ---------------------------------------------------
+#
+# Every loss and every solver turns thresholds into linearized quantile grids
+# and losses through these functions: ``_anchor_rows`` finds the anchors,
+# ``_linearized_rows`` interpolates them, ``_loss_terms`` and ``_losses``
+# reduce the grids.
 
 
 def _anchor_rows(cohort: Cohort, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linearization anchors for a batch of threshold vectors.
+
+    Each member's anchor at threshold t is (F(t), q(F(t))), with q(0+) at
+    probability zero; the 0-anchor is (0, q(0+)) and the 1-anchor (1, q(1)),
+    where q(1) is the largest sample value or the upper edge of a histogram's
+    last bin with mass (``support_upper``).
 
     Args:
         thresholds: (B, K) strictly increasing rows inside the domain.
@@ -261,103 +269,91 @@ def _anchor_rows(cohort: Cohort, thresholds: np.ndarray) -> tuple[np.ndarray, np
     t = np.atleast_2d(np.asarray(thresholds, dtype=np.float64))
     n_cand, k = t.shape
     n = cohort.n
-    if k == 0:
-        probs = np.empty((n_cand, n, 0))
-        vals = np.empty((n_cand, n, 0))
-    elif cohort.kind == "sample":
-        tables = cohort._sample_tables()
-        flat_t = t.reshape(-1)
-        queries = (flat_t[None, :] + tables.offsets[:, None]).ravel()
-        pos = np.searchsorted(tables.shifted_flat, queries, side="right")
-        counts = pos.reshape(n, n_cand * k) - tables.starts[:, None]
-        np.clip(counts, 0, tables.sizes[:, None], out=counts)
-        probs_nm = counts / tables.sizes[:, None]
-        gather = tables.starts[:, None] + np.maximum(counts - 1, 0)
-        vals_nm = np.where(counts > 0, tables.values_flat[gather], tables.mins[:, None])
-        probs = probs_nm.reshape(n, n_cand, k).transpose(1, 0, 2)
-        vals = vals_nm.reshape(n, n_cand, k).transpose(1, 0, 2)
-    elif cohort.shared_cutoffs is not None:
-        tables = cohort._hist_tables()
-        edges = tables.edges
-        flat_t = t.reshape(-1)
-        j = np.clip(np.searchsorted(edges, flat_t, side="right") - 1, 0, edges.size - 2)
-        frac = (flat_t - edges[j]) / (edges[j + 1] - edges[j])
-        probs_nm = tables.cum[:, j] + (tables.cum[:, j + 1] - tables.cum[:, j]) * frac
-        np.clip(probs_nm, 0.0, 1.0, out=probs_nm)
-        vals_nm = interp_rows(
-            tables.cum,
-            np.broadcast_to(edges, tables.cum.shape),
-            np.maximum(probs_nm, np.finfo(np.float64).tiny),
-        )
-        vals_nm = np.where(probs_nm > 0.0, vals_nm, tables.support_lower[:, None])
-        probs = probs_nm.reshape(n, n_cand, k).transpose(1, 0, 2)
-        vals = vals_nm.reshape(n, n_cand, k).transpose(1, 0, 2)
-    else:
-        from .histograms import _cdf_values, _histogram_anchor_values
-
-        probs = np.empty((n_cand, n, k))
-        vals = np.empty((n_cand, n, k))
-        for b in range(n_cand):
-            for i, member in enumerate(cohort.members):
-                p = _cdf_values(member, t[b])
-                probs[b, i] = p
-                vals[b, i] = _histogram_anchor_values(member, p)
-
+    tables = cohort._anchor_tables()
+    flat_t = t.reshape(-1)
     if cohort.kind == "sample":
-        tables = cohort._sample_tables()
-        lo_v, hi_v = tables.mins, tables.maxs
-    elif cohort.shared_cutoffs is not None:
-        tables = cohort._hist_tables()
-        lo_v, hi_v = tables.support_lower, tables.support_upper
+        values = tables.values
+        counts = values.search(flat_t, "right") - values.starts[:, None]
+        probs = counts / values.sizes[:, None]
+        gather = values.starts[:, None] + np.maximum(counts - 1, 0)
+        vals = np.where(counts > 0, values.flat[gather], tables.lower[:, None])
     else:
-        lo_v = np.array([m.support_lower for m in cohort.members])
-        hi_v = np.array([m.support_upper for m in cohort.members])
+        edges, cum = tables.edges.flat, tables.cum.flat
+        first = tables.edges.starts[:, None]
+        last_bin = first + tables.edges.sizes[:, None] - 2
+        j = np.clip(tables.edges.search(flat_t, "right") - 1, first, last_bin)
+        frac = (flat_t - edges[j]) / (edges[j + 1] - edges[j])
+        probs = cum[j] + (cum[j + 1] - cum[j]) * frac
+        np.clip(probs, 0.0, 1.0, out=probs)
+        vals = np.where(probs > 0.0, _histogram_quantiles(tables, probs), tables.lower[:, None])
 
     shape = (n_cand, n, 1)
     p_full = np.concatenate(
-        [np.zeros(shape), probs, np.ones(shape)], axis=2
+        [np.zeros(shape), probs.reshape(n, n_cand, k).transpose(1, 0, 2), np.ones(shape)], axis=2
     )
     v_full = np.concatenate(
-        [np.broadcast_to(lo_v[None, :, None], shape), vals,
-         np.broadcast_to(hi_v[None, :, None], shape)], axis=2
+        [np.broadcast_to(tables.lower[None, :, None], shape),
+         vals.reshape(n, n_cand, k).transpose(1, 0, 2),
+         np.broadcast_to(tables.upper[None, :, None], shape)], axis=2
     )
     return p_full, v_full
 
 
-def _linearized_rows(cohort: Cohort, thresholds: np.ndarray, grid_size: int) -> np.ndarray:
-    """Linearized quantile grids for a batch of threshold vectors, (B, n, M)."""
-    p_full, v_full = _anchor_rows(cohort, thresholds)
+def _linearized_rows(p_full: np.ndarray, v_full: np.ndarray, grid_size: int) -> np.ndarray:
+    """Linearized quantile grids, (B, n, M), from (B, n, K+2) anchors."""
     n_cand, n, n_anchors = p_full.shape
-    u = probability_grid(grid_size)
     out = interp_rows(
         p_full.reshape(n_cand * n, n_anchors),
         v_full.reshape(n_cand * n, n_anchors),
-        u,
+        probability_grid(grid_size),
     )
     return out.reshape(n_cand, n, grid_size)
 
 
+def _require_pairs(n: int) -> None:
+    if n < 2:
+        raise ValueError("pairwise loss requires at least two cohort members")
+
+
+def _loss_terms(cohort: Cohort, lin: np.ndarray, kind: LossKind) -> np.ndarray:
+    """What each candidate's loss sums, from its linearized grids ``lin`` (B, n, M).
+
+    Under L1 the squared grid errors of all members, (B,); under L2 the
+    condensed squared distances between the members' grids, (B, n(n-1)/2).
+    """
+    if kind is LossKind.L1:
+        diff = lin - cohort.quantile_matrix(lin.shape[2])[None, :, :]
+        return np.einsum("bnm,bnm->b", diff, diff)
+    if kind is LossKind.L2:
+        _require_pairs(cohort.n)
+        return np.stack([pdist(grids, metric="sqeuclidean") for grids in lin])
+    raise ValueError(f"unsupported loss kind {kind} for quantile-grid evaluation")
+
+
+def _l1_mean(totals, n: int, grid_size: int):
+    """The L1 loss from the members' summed squared grid errors."""
+    return totals / n / (grid_size + 1)
+
+
+def _pair_mean(totals, n: int):
+    """Mean over the n(n-1)/2 member pairs of summed pair terms."""
+    return totals * 2.0 / (n * (n - 1))
+
+
+def _losses(cohort: Cohort, terms: np.ndarray, spec: LossSpec) -> np.ndarray:
+    """Quantile-grid losses from the terms of ``_loss_terms`` (or updates of them)."""
+    if spec.kind is LossKind.L1:
+        return _l1_mean(terms, cohort.n, spec.grid_size)
+    diff = np.sqrt(terms)
+    np.subtract(cohort.pairwise_base_norms(spec.grid_size), diff, out=diff)
+    np.square(diff, out=diff)
+    return _pair_mean(diff.sum(axis=-1), cohort.n) / (spec.grid_size + 1)
+
+
 def _loss_batch(cohort: Cohort, thresholds: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Loss of each candidate threshold vector; rows of ``thresholds`` are (B, K)."""
-    t = np.atleast_2d(np.asarray(thresholds, dtype=np.float64))
-    grid = spec.grid_size
-    lin = _linearized_rows(cohort, t, grid)
-    base = cohort.quantile_matrix(grid)
-    n = cohort.n
-    if spec.kind is LossKind.L1:
-        diff = lin - base[None, :, :]
-        totals = np.einsum("bnm,bnm->b", diff, diff)
-        return totals / n / (grid + 1)
-    if spec.kind is LossKind.L2:
-        if n < 2:
-            raise ValueError("pairwise loss requires at least two cohort members")
-        base_norms = cohort.pairwise_base_norms(grid)
-        out = np.empty(t.shape[0])
-        for b in range(t.shape[0]):
-            diff = base_norms - pdist(lin[b])
-            out[b] = np.sum(diff * diff)
-        return out * 2.0 / (n * (n - 1)) / (grid + 1)
-    raise ValueError(f"unsupported loss kind {spec.kind} for quantile-grid evaluation")
+    lin = _linearized_rows(*_anchor_rows(cohort, thresholds), spec.grid_size)
+    return _losses(cohort, _loss_terms(cohort, lin, spec.kind), spec)
 
 
 # Closed-form L1 search scores -------------------------------------------------
@@ -454,7 +450,7 @@ class _L1Scorer:
         a = self.anchors(np.arange(self.n), p, v)
         costs = self.segment_costs(a[:-1], a[1:])
         totals = costs.sum(axis=(0, 2)).astype(np.float64)
-        return totals / self.n / self._width
+        return _l1_mean(totals, self.n, self.grid_size)
 
     def segment_table(self, p: np.ndarray, v: np.ndarray) -> "_SegmentTable":
         """Cohort segment costs between the columns of (n, A) anchor arrays."""
@@ -559,15 +555,13 @@ def loss_l2_braycurtis(cohort: Cohort, t: ThresholdSet) -> float:
     """Pairwise-distance loss under Bray-Curtis dissimilarity on compositions."""
     if cohort.shared_cutoffs is None:
         raise ValueError("Bray-Curtis loss requires a histogram cohort with shared cutoffs")
-    n = cohort.n
-    if n < 2:
-        raise ValueError("pairwise loss requires at least two cohort members")
+    _require_pairs(cohort.n)
     from .histograms import _threshold_positions
 
     positions = _threshold_positions(cohort.members[0], t)
     amal = amalgamated_compositions(cohort, positions)
     diff = cohort.pairwise_base_bray_curtis() - _bray_curtis_condensed(amal)
-    return float(np.sum(diff * diff) * 2.0 / (n * (n - 1)))
+    return float(_pair_mean(np.sum(diff * diff), cohort.n))
 
 
 def evaluate_loss(cohort: Cohort, t: ThresholdSet, spec: LossSpec) -> float:

@@ -23,11 +23,16 @@ from ._interp import interp_rows
 from .histograms import Domain, ThresholdSet, probability_grid
 from .losses import (
     Cohort,
-    _SegmentTable,
     LossKind,
     LossSpec,
     _anchor_rows,
+    _linearized_rows,
     _loss_batch,
+    _loss_terms,
+    _losses,
+    _pair_mean,
+    _require_pairs,
+    _SegmentTable,
     amalgamated_compositions,
     evaluate_loss,
 )
@@ -60,6 +65,9 @@ _COMBO_CHUNK = 1 << 14
 
 #: Pair values per block of candidates in the L2 removal scan (a 128 KiB table).
 _TABLE_BLOCK = 1 << 14
+
+#: Grid values per block of candidates scored by the kernel (2 MiB of grids).
+_GRID_BLOCK = 1 << 18
 
 #: The L2 removal scan recomputes a candidate's distances directly when one of
 #: them falls below this fraction of the terms that cancel in its update.
@@ -141,73 +149,48 @@ def _fixed_positions(cutoffs: np.ndarray, fixed: tuple) -> np.ndarray:
     return pos.astype(np.intp)
 
 
-# Discrete evaluation tables ---------------------------------------------------
+# Discrete evaluation ---------------------------------------------------------
 
 
-@dataclass
-class _GridTables:
-    """Threshold-independent data for fast selection-indexed loss evaluation."""
-
-    cutoffs: np.ndarray       # (J,)
-    cum: np.ndarray           # (n, J+2)
-    qf: np.ndarray            # (n, J+2)
-    u: np.ndarray             # (M,)
-    base: np.ndarray          # (n, M)
-    grid_size: int
-    base_norms: Optional[np.ndarray] = None  # condensed, L2 only
-    segment_costs: Optional[_SegmentTable] = None  # between anchor columns, L1 only
-
-    @property
-    def n(self) -> int:
-        return self.base.shape[0]
-
-
-def _grid_tables(cohort: Cohort, spec: LossSpec) -> _GridTables:
+def _grid_cutoffs(cohort: Cohort, spec: LossSpec) -> np.ndarray:
+    """The shared cutoffs that the grid solvers select from."""
     if cohort.shared_cutoffs is None:
         raise ValueError("discrete solvers require a histogram cohort with shared cutoffs")
-    ht = cohort._hist_tables()
-    tables = _GridTables(
-        cutoffs=cohort.shared_cutoffs,
-        cum=ht.cum,
-        qf=ht.qf,
-        u=probability_grid(spec.grid_size),
-        base=cohort.quantile_matrix(spec.grid_size),
-        grid_size=spec.grid_size,
-    )
     if spec.kind is LossKind.L2:
-        if cohort.n < 2:
-            raise ValueError("pairwise loss requires at least two cohort members")
-        tables.base_norms = cohort.pairwise_base_norms(spec.grid_size)
-    elif spec.kind is LossKind.L1:
-        tables.segment_costs = cohort._l1_scorer(spec.grid_size).segment_table(ht.cum, ht.qf)
-    return tables
+        _require_pairs(cohort.n)
+    return cohort.shared_cutoffs
 
 
-def _selection_cols(tables: _GridTables, sel: np.ndarray) -> np.ndarray:
-    """Anchor columns of a selection: the 0-anchor, the cutoffs, the 1-anchor."""
-    return np.concatenate(([0], np.asarray(sel, dtype=np.intp) + 1, [tables.cum.shape[1] - 1]))
+def _cutoff_anchors(cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's (n, J+2) anchors at all shared cutoffs.
+
+    Each anchor depends on its own threshold only, so the anchors of a
+    selection are bitwise the columns ``_selection_cols`` of these.
+    """
+    p, v = _anchor_rows(cohort, cohort.shared_cutoffs[None, :])
+    return p[0], v[0]
 
 
-def _l1_scale(tables: _GridTables) -> float:
-    return tables.n * (tables.grid_size + 1)
+def _segment_table(cohort: Cohort, spec: LossSpec) -> _SegmentTable:
+    """L1 segment costs between the kernel's anchors at all shared cutoffs."""
+    return cohort._l1_scorer(spec.grid_size).segment_table(*_cutoff_anchors(cohort))
 
 
-def _selection_grids(tables: _GridTables, sel: np.ndarray) -> np.ndarray:
-    cols = _selection_cols(tables, sel)
-    return interp_rows(tables.cum[:, cols], tables.qf[:, cols], tables.u)
+def _selection_cols(j: int, sel: np.ndarray) -> np.ndarray:
+    """Anchor columns of a selection of J cutoffs: the 0-anchor, the cutoffs, the 1-anchor."""
+    return np.concatenate(([0], np.asarray(sel, dtype=np.intp) + 1, [j + 1]))
 
 
-def _grid_loss(tables: _GridTables, kind: LossKind, lin: np.ndarray) -> float:
-    n, m = lin.shape
-    if kind is LossKind.L1:
-        diff = lin - tables.base
-        return float(np.einsum("nm,nm->", diff, diff) / n / (m + 1))
-    diff = tables.base_norms - pdist(lin)
-    return float(np.sum(diff * diff) * 2.0 / (n * (n - 1)) / (m + 1))
+def _kernel_losses(cohort: Cohort, spec: LossSpec, thresholds: np.ndarray) -> np.ndarray:
+    """Losses of (C, K) threshold rows, scored by the kernel a block of rows at a time.
 
-
-def _selection_loss(tables: _GridTables, sel: np.ndarray, kind: LossKind) -> float:
-    return _grid_loss(tables, kind, _selection_grids(tables, sel))
+    A single row, and under L2 every row, gets bitwise the loss that the
+    public ``evaluate_loss`` gives it.
+    """
+    block = max(1, _GRID_BLOCK // (cohort.n * spec.grid_size))
+    return np.concatenate(
+        [_loss_batch(cohort, thresholds[i:i + block], spec) for i in range(0, len(thresholds), block)]
+    )
 
 
 # Incremental candidate scans for stepwise aggregation -------------------------
@@ -224,44 +207,43 @@ class _RemovalScan:
     so corrections never accumulate.
     """
 
-    def __init__(self, tables: _GridTables, kind: LossKind, sel: np.ndarray):
-        self.tables = tables
-        self.kind = kind
+    def __init__(self, cohort: Cohort, spec: LossSpec, sel: np.ndarray):
+        self.cohort = cohort
+        self.spec = spec
+        self.cutoffs = cohort.shared_cutoffs
+        self.u = probability_grid(spec.grid_size)
         self.sel = np.asarray(sel, dtype=np.intp)
-        if kind is not LossKind.L1:
+        self._p_all, self._v_all = _cutoff_anchors(cohort)
+        if spec.kind is LossKind.L1:
+            self.costs = cohort._l1_scorer(spec.grid_size).segment_table(self._p_all, self._v_all)
+        else:
             # Condensed (triu) pair order, as flat indices into an (n, n) matrix.
-            n = tables.n
+            n = cohort.n
             self._pair_i, self._pair_j = np.triu_indices(n, k=1)
             self._flat_ij = self._pair_i * n + self._pair_j
             self._flat_ji = self._pair_j * n + self._pair_i
         self._refresh()
 
     def _refresh(self) -> None:
-        t = self.tables
-        cols = _selection_cols(t, self.sel)
-        self.cols = cols
-        self.p = t.cum[:, cols]
-        self.v = t.qf[:, cols]
-        self.grids = interp_rows(self.p, self.v, t.u)
-        if self.kind is LossKind.L1:
-            diff = self.grids - t.base
-            self.total = float(np.einsum("nm,nm->", diff, diff))
-            self.loss = self.total / t.n / (t.grid_size + 1)
-        else:
-            self.sq_dists = pdist(self.grids, metric="sqeuclidean")
-            diff = t.base_norms - np.sqrt(self.sq_dists)
-            self.loss = float(np.sum(diff * diff) * 2.0 / (t.n * (t.n - 1)) / (t.grid_size + 1))
+        """Anchors, grids, loss terms and loss of the selection, from the kernel."""
+        self.cols = _selection_cols(self.cutoffs.size, self.sel)
+        self.p, self.v = self._p_all[:, self.cols], self._v_all[:, self.cols]
+        grids = _linearized_rows(self.p[None], self.v[None], self.spec.grid_size)
+        terms = _loss_terms(self.cohort, grids, self.spec.kind)
+        self.loss = float(_losses(self.cohort, terms, self.spec)[0])
+        # Under L1 the terms are the summed squared error; under L2 the
+        # condensed squared distances between the grids.
+        self.grids, self.terms = grids[0], terms[0]
 
     def candidate_losses(self, positions: list) -> list:
         """Losses after removing the threshold at each of ``positions``."""
-        t = self.tables
         pos = np.asarray(positions, dtype=np.intp)
-        if self.kind is not LossKind.L1:
+        if self.spec.kind is not LossKind.L1:
             return self._l2_losses(pos)
         left, mid, right = self.cols[pos], self.cols[pos + 1], self.cols[pos + 2]
-        costs = t.segment_costs
+        costs = self.costs
         delta = (costs(left, right) - costs(left, mid)) - costs(mid, right)
-        return ((self.total + delta) / _l1_scale(t)).tolist()
+        return _losses(self.cohort, self.terms + delta, self.spec).tolist()
 
     def _l2_losses(self, pos: np.ndarray) -> list:
         """L2 losses of removing the anchors after ``pos``, in blocks of candidates.
@@ -274,31 +256,28 @@ class _RemovalScan:
         of grid points between its neighbours' extreme anchor probabilities;
         one without such points keeps the current loss.
         """
-        t = self.tables
+        u = self.u
         last = self.p.shape[1] - 1
         changes = []
         for first in (1, 0):  # the chords used by even, then odd anchors
             keep = np.unique(np.r_[0, first:last:2, last])
-            chord = interp_rows(self.p[:, keep], self.v[:, keep], t.u)
+            chord = interp_rows(self.p[:, keep], self.v[:, keep], u)
             changes.append(np.subtract(chord, self.grids, out=chord))
         centred = self.grids - self.grids.mean(axis=0)
         centred *= 2.0
-        lo = np.searchsorted(t.u, self.p[:, pos].min(axis=0), side="right")
-        hi = np.searchsorted(t.u, self.p[:, pos + 2].max(axis=0), side="left")
+        lo = np.searchsorted(u, self.p[:, pos].min(axis=0), side="right")
+        hi = np.searchsorted(u, self.p[:, pos + 2].max(axis=0), side="left")
         out = np.full(pos.size, self.loss)
         todo = np.nonzero(lo < hi)[0]
-        block = max(1, _TABLE_BLOCK // self.sq_dists.size)
+        block = max(1, _TABLE_BLOCK // self.terms.size)
         for start in range(0, todo.size, block):
             rows = todo[start:start + block]
-            sq = np.empty((rows.size, self.sq_dists.size))
+            sq = np.empty((rows.size, self.terms.size))
             for row, c in enumerate(rows.tolist()):
                 k = int(pos[c]) + 1
                 sq[row] = self._removal_sq_dists(k, slice(lo[c], hi[c]), changes[k % 2], centred)
             np.maximum(sq, 0.0, out=sq)
-            np.sqrt(sq, out=sq)
-            np.subtract(t.base_norms, sq, out=sq)
-            np.square(sq, out=sq)
-            out[rows] = sq.sum(axis=1) * 2.0 / (t.n * (t.n - 1)) / (t.grid_size + 1)
+            out[rows] = _losses(self.cohort, sq, self.spec)
         return out.tolist()
 
     def _removal_sq_dists(self, k, span, change, centred) -> np.ndarray:
@@ -315,14 +294,14 @@ class _RemovalScan:
         update keeps too few digits, and the distances are taken from the new
         grids directly.
         """
-        us = self.tables.u[span]
+        us = self.u[span]
         inside = (us > self.p[:, k - 1, None]) & (us < self.p[:, k + 1, None])
         d = np.where(inside, change[:, span], 0.0)
         s = d + centred[:, span]
         x = d @ s.T
         r = x.diagonal()
         flat = x.ravel()
-        sq = self.sq_dists + (
+        sq = self.terms + (
             (r[self._pair_i] + r[self._pair_j]) - (flat[self._flat_ij] + flat[self._flat_ji])
         )
         # |X_ij| <= |d_i|·|s_j| bounds the terms that cancel.  A distance below
@@ -331,9 +310,8 @@ class _RemovalScan:
         # identical members).
         scale = math.sqrt(np.einsum("ij,ij->i", d, d).max() * np.einsum("ij,ij->i", s, s).max())
         small = _CANCEL_RTOL * scale
-        if sq.min() >= small or not np.any(
-            (sq < small) & (self.tables.base_norms > math.sqrt(small))
-        ):
+        base_norms = self.cohort.pairwise_base_norms(self.spec.grid_size)
+        if sq.min() >= small or not np.any((sq < small) & (base_norms > math.sqrt(small))):
             return sq
         grids = self.grids.copy()
         grids[:, span] += d
@@ -352,7 +330,7 @@ class _BrayCurtisRemovalScan:
         self.base_bc = cohort.pairwise_base_bray_curtis()
         self.sel = np.asarray(sel, dtype=np.intp)
         n = cohort.n
-        self._pair_scale = 2.0 / (n * (n - 1))
+        self._pair_scale = _pair_mean(1.0, n)
         self._pair_i, self._pair_j = np.triu_indices(n, k=1)
         self._refresh()
 
@@ -444,10 +422,10 @@ def exhaustive_search(
     Refuses instances whose combination count exceeds ``budget``.
     """
     fixed = _normalize_fixed(fixed)
-    tables = _grid_tables(cohort, spec)
-    j = tables.cutoffs.size
+    cutoffs = _grid_cutoffs(cohort, spec)
+    j = cutoffs.size
     _check_k(k, fixed, j)
-    fixed_pos = _fixed_positions(tables.cutoffs, fixed)
+    fixed_pos = _fixed_positions(cutoffs, fixed)
     free = np.setdiff1d(np.arange(j, dtype=np.intp), fixed_pos)
     n_free = k - len(fixed)
     n_combos = math.comb(free.size, n_free)
@@ -456,26 +434,26 @@ def exhaustive_search(
             f"{n_combos} combinations exceed the budget of {budget}; "
             "use a stepwise or evolutionary solver instead"
         )
-    combos = itertools.combinations(free.tolist(), n_free)
-    if tables.segment_costs is not None:
-        best_sel = _exhaustive_l1(tables, combos, n_free, fixed_pos)
+    if spec.kind is LossKind.L1:
+        costs = _segment_table(cohort, spec)
+
+        def score(sel: np.ndarray) -> np.ndarray:
+            rows = len(sel)
+            cols = np.concatenate(
+                (np.zeros((rows, 1), np.intp), sel + 1, np.full((rows, 1), j + 1)), axis=1
+            )
+            return _losses(cohort, costs(cols[:, :-1], cols[:, 1:]).sum(axis=1), spec)
     else:
-        best_sel = None
-        best_loss = math.inf
-        for combo in combos:
-            sel = np.sort(np.concatenate((np.asarray(combo, dtype=np.intp), fixed_pos)))
-            loss = _selection_loss(tables, sel, spec.kind)
-            if loss < best_loss:
-                best_sel, best_loss = sel, loss
-    return _certify(
-        cohort, tables.cutoffs[best_sel], fixed, Method.EXHAUSTIVE, spec, n_combos, None
-    )
+        def score(sel: np.ndarray) -> np.ndarray:
+            return _kernel_losses(cohort, spec, cutoffs[sel])
+
+    combos = itertools.combinations(free.tolist(), n_free)
+    best_sel = _first_best(combos, n_free, fixed_pos, score)
+    return _certify(cohort, cutoffs[best_sel], fixed, Method.EXHAUSTIVE, spec, n_combos, None)
 
 
-def _exhaustive_l1(tables: _GridTables, combos, n_free: int, fixed_pos: np.ndarray) -> np.ndarray:
-    """First combination of minimal L1 score, summing segment costs chunk by chunk."""
-    costs = tables.segment_costs
-    last = tables.cum.shape[1] - 1
+def _first_best(combos, n_free: int, fixed_pos: np.ndarray, score) -> np.ndarray:
+    """First selection of minimal score, scoring the combinations chunk by chunk."""
     best_sel = None
     best_loss = math.inf
     while True:
@@ -485,10 +463,7 @@ def _exhaustive_l1(tables: _GridTables, combos, n_free: int, fixed_pos: np.ndarr
         free = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_free)
         fixed = np.broadcast_to(fixed_pos, (len(chunk), fixed_pos.size))
         sel = np.sort(np.concatenate((free, fixed), axis=1), axis=1)
-        cols = np.concatenate(
-            (np.zeros((len(chunk), 1), np.intp), sel + 1, np.full((len(chunk), 1), last)), axis=1
-        )
-        losses = costs(cols[:, :-1], cols[:, 1:]).sum(axis=1) / _l1_scale(tables)
+        losses = score(sel)
         best = int(np.argmin(losses))
         if losses[best] < best_loss:
             best_sel, best_loss = sel[best], losses[best]
@@ -500,25 +475,23 @@ def stepwise_aggregation(
     """Greedy backward elimination: repeatedly remove the threshold whose
     removal minimizes the loss, until K thresholds remain."""
     fixed = _normalize_fixed(fixed)
-    tables = _grid_tables(cohort, spec)
-    _check_k(k, fixed, tables.cutoffs.size)
-    scan = _RemovalScan(tables, spec.kind, np.arange(tables.cutoffs.size, dtype=np.intp))
-    sel, trace, evaluations = _aggregate(cohort, k, fixed, scan, tables.cutoffs)
+    cutoffs = _grid_cutoffs(cohort, spec)
+    _check_k(k, fixed, cutoffs.size)
+    scan = _RemovalScan(cohort, spec, np.arange(cutoffs.size, dtype=np.intp))
+    sel, trace, evaluations = _aggregate(cohort, k, fixed, scan, cutoffs)
     return _certify(
-        cohort, tables.cutoffs[sel], fixed, Method.STEPWISE_AGGREGATION, spec, evaluations, trace
+        cohort, cutoffs[sel], fixed, Method.STEPWISE_AGGREGATION, spec, evaluations, trace
     )
 
 
-def _l1_insertions(tables: _GridTables, sel: np.ndarray, candidates: np.ndarray) -> list:
-    """L1 scores of inserting each candidate cutoff into the selection."""
-    costs = tables.segment_costs
-    cols = _selection_cols(tables, sel)
+def _l1_insertions(costs: _SegmentTable, j: int, sel: np.ndarray, candidates: np.ndarray):
+    """Summed L1 segment costs after inserting each candidate cutoff into the selection."""
+    cols = _selection_cols(j, sel)
     new = candidates + 1
     slot = np.searchsorted(cols, new)
     left, right = cols[slot - 1], cols[slot]
     total = costs(cols[:-1], cols[1:]).sum()
-    delta = (costs(left, new) + costs(new, right)) - costs(left, right)
-    return ((total + delta) / _l1_scale(tables)).tolist()
+    return total + ((costs(left, new) + costs(new, right)) - costs(left, right))
 
 
 def stepwise_splitting(
@@ -526,35 +499,31 @@ def stepwise_splitting(
 ) -> OptimizationResult:
     """Greedy forward selection: repeatedly add the loss-minimizing threshold."""
     fixed = _normalize_fixed(fixed)
-    tables = _grid_tables(cohort, spec)
-    j = tables.cutoffs.size
+    cutoffs = _grid_cutoffs(cohort, spec)
+    j = cutoffs.size
     _check_k(k, fixed, j)
-    sel = np.sort(_fixed_positions(tables.cutoffs, fixed))
-    l1 = tables.segment_costs is not None
+    sel = np.sort(_fixed_positions(cutoffs, fixed))
+    costs = _segment_table(cohort, spec) if spec.kind is LossKind.L1 else None
     trace = []
     evaluations = 0
-    step = 0
     while sel.size < k:
+        candidates = np.setdiff1d(np.arange(j, dtype=np.intp), sel)
+        if costs is not None:
+            scores = _losses(cohort, _l1_insertions(costs, j, sel, candidates), spec)
+        else:
+            grown = np.column_stack((np.broadcast_to(sel, (candidates.size, sel.size)), candidates))
+            scores = _kernel_losses(cohort, spec, cutoffs[np.sort(grown, axis=1)])
         best_idx = -1
         best_loss = math.inf
-        candidates = np.setdiff1d(np.arange(j, dtype=np.intp), sel)
-        if l1:
-            scores = _l1_insertions(tables, sel, candidates)
-        else:
-            scores = (
-                _selection_loss(tables, np.sort(np.append(sel, idx)), spec.kind)
-                for idx in candidates.tolist()
-            )
-        for idx, cand in zip(candidates.tolist(), scores):
+        for idx, cand in zip(candidates.tolist(), scores.tolist()):
             evaluations += 1
             if cand < best_loss - TIE_TOL:
                 best_idx, best_loss = idx, cand
         sel = np.sort(np.append(sel, best_idx))
-        step += 1
-        trace.append((step, _selection_loss(tables, sel, spec.kind) if l1 else best_loss))
+        trace.append((len(trace) + 1, float(_kernel_losses(cohort, spec, cutoffs[sel][None, :])[0])))
     return _certify(
         cohort,
-        tables.cutoffs[sel],
+        cutoffs[sel],
         fixed,
         Method.STEPWISE_SPLITTING,
         spec,
@@ -794,8 +763,7 @@ def paa_baseline(cohort: Cohort, k: int, fixed: FixedLike = None) -> Optimizatio
         raise ValueError("the compositional baseline requires shared cutoffs")
     cutoffs = cohort.shared_cutoffs
     _check_k(k, fixed, cutoffs.size)
-    if cohort.n < 2:
-        raise ValueError("pairwise loss requires at least two cohort members")
+    _require_pairs(cohort.n)
     scan = _BrayCurtisRemovalScan(cohort, np.arange(cutoffs.size, dtype=np.intp))
     sel, trace, evaluations = _aggregate(cohort, k, fixed, scan, cutoffs)
     spec = LossSpec(LossKind.L2_BRAY_CURTIS)

@@ -140,6 +140,37 @@ class TestOptimizeCommand:
         assert f"{name} must be" in result.output
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, overrides, message",
+        [
+            ([], {"fixed": 70}, "fixed must be a list of numbers"),
+            ([], {"fixed": ["a"]}, "cannot parse fixed thresholds"),
+            (["--fixed", "70,nan"], {}, "fixed thresholds must be finite"),
+            ([], {"mixture": {"domain": [1]}}, "invalid input.mixture"),
+            ([], {"mixture": {"domain": ["a", 400]}}, "invalid input.mixture"),
+            ([], {"mixture": {"histogram_cutoffs": 5}}, "invalid input.mixture"),
+            ([], {"de": {"mutation_range": 0.5}}, "invalid de section"),
+            ([], {"de": {"max_generations": 2.5}}, "de.max_generations must be an integer"),
+            ([], {"de": {"population_size_per_dim": 2.5}}, "de.population_size_per_dim must be an integer"),
+            ([], {"de": 5}, "de must be a JSON object"),
+            ([], {"input": {"kind": "simulation", "mixture": ["domain"]}}, "input.mixture must be a JSON object"),
+        ],
+        ids=["fixed-number", "fixed-word", "fixed-nan-flag", "domain-short", "domain-word",
+             "cutoffs-number", "mutation-number", "generations-fraction", "population-fraction",
+             "de-number", "mixture-list"],
+    )
+    def test_mistyped_setting_is_config_error(self, runner, tmp_path, flags, overrides, message):
+        if "mixture" in overrides:
+            mixture = {**SMALL_MIXTURE, **overrides.pop("mixture")}
+            overrides["input"] = {"kind": "simulation", "mixture": mixture, "seed": 3}
+        if "de" in overrides:
+            overrides["method"] = "de"
+        cfg = self.config(tmp_path, **overrides)
+        result = runner.invoke(main, ["optimize", "--config", cfg, *flags, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "result.json").exists()
+
     @pytest.mark.parametrize("seed", [1.7, "one", True, -1], ids=["fraction", "word", "bool", "negative"])
     def test_bad_input_seed_is_config_error(self, runner, tmp_path, seed):
         cfg = self.config(tmp_path, input={"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": seed})

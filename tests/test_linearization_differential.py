@@ -1,11 +1,11 @@
 """Differential test of the batched linearization against the per-member one.
 
-``losses._linearized_rows`` linearizes every member of a cohort for a batch
-of threshold vectors at once: ``_anchor_rows`` finds the anchors of all
-members with one search over row-shifted tables, and ``interp_rows`` then
-evaluates all rows together.  ``histograms.linearized_quantile_grid`` does the
-same for one member and one threshold set with plain per-row searches.  The
-two must agree bit for bit (``np.array_equal``).
+The loss kernel linearizes every member of a cohort for a batch of threshold
+vectors at once: ``losses._anchor_rows`` finds the anchors of all members
+with exact per-member searches, and ``_linearized_rows`` then interpolates
+all rows together.  ``histograms.linearized_quantile_grid`` does the same
+for one member and one threshold set.  The two must agree bit for bit
+(``np.array_equal``).
 
 Hypothesis builds sample, shared-cutoff and unshared histogram cohorts of up
 to about 2,000 members on domains at 0, 1e7, -1e9 and 1e12, whose members tie
@@ -14,12 +14,11 @@ or cutoffs) and one ulp to either side of them.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from optithresh.histograms import Domain, EmpiricalSample, Histogram, ThresholdSet, linearized_quantile_grid
-from optithresh.losses import Cohort, _linearized_rows
+from optithresh.losses import Cohort, _anchor_rows, _linearized_rows
 
 OFFSETS = [0.0, 1e7, -1e9, 1e12]
 WIDTHS = [1.0, 3.0, 50.0, 400.0]
@@ -64,7 +63,8 @@ def cases(draw, kind):
 
 def assert_batched_matches_per_member(case):
     cohort, rows, grid = case
-    batched = _linearized_rows(cohort, np.array(rows, dtype=np.float64).reshape(len(rows), -1), grid)
+    thresholds = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    batched = _linearized_rows(*_anchor_rows(cohort, thresholds), grid)
     for b, row in enumerate(rows):
         t = ThresholdSet(tuple(row))
         expected = np.vstack([linearized_quantile_grid(m, t, grid).values for m in cohort.members])
@@ -84,26 +84,26 @@ def test_unshared_histogram_cohorts(case):
 
 
 def pinned_sample_case():
-    """Two members with values 0.5 and 1.0, a threshold one ulp below 0.5."""
+    """Two members with values 0.5 and 1.0, a threshold one ulp below 0.5.
+
+    A search over values shifted into disjoint per-member blocks rounds this
+    threshold onto member 1's shifted 0.5 and counts 0.5 as below it.
+    """
     members = [EmpiricalSample(Domain(0.0, 1.0), np.array([0.5, 1.0])) for _ in range(2)]
     return Cohort(members), [[float(np.nextafter(0.5, 0.0))]], 1
 
 
 def pinned_shared_case():
-    """Two histograms cut at 0.5 with masses 0.5 and 0.5, a threshold one ulp above 0.5."""
+    """Two histograms cut at 0.5 with masses 0.5 and 0.5, a threshold one ulp above 0.5.
+
+    A search over probabilities shifted into disjoint per-member blocks rounds
+    the threshold's probability, one ulp above 0.5, onto member 1's
+    cumulative mass 0.5 and brackets it onto the cutoff's anchor.
+    """
     members = [Histogram(Domain(0.0, 1.0), np.array([0.5]), np.array([0.5, 0.5])) for _ in range(2)]
     return Cohort(members), [[float(np.nextafter(0.5, 1.0))]], 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_anchor_rows searches the members' sorted values shifted by (width + 1) per row, and the "
-    "shift rounds: in the pinned case member 1's value 0.5 lies at 2.5 after its shift of 2, and the "
-    "threshold 0.5 - 1 ulp rounds onto 2.5 as well, so the batched anchor counts the value 0.5 as "
-    "below the threshold (probability 0.5 instead of 0) and member 1's grid is [0.5] instead of "
-    "[0.75]; member 0 (shift 0) agrees.  Without the pinned case Hypothesis found and shrank one "
-    "within 150 examples: domain [0, 1], three members, threshold 0.49999999999999994.",
-)
 @SETTINGS
 @given(case=cases("sample"))
 @example(case=pinned_sample_case())
@@ -111,16 +111,6 @@ def test_sample_cohorts(case):
     assert_batched_matches_per_member(case)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_anchor_rows finds the anchor values of shared-cutoff cohorts with interp_rows on per-row "
-    "queries, which brackets them by one search over probabilities shifted by 2 per row "
-    "(interp._bracket_offset).  In the pinned case the threshold 0.5 + 1 ulp has probability "
-    "0.5000000000000001, one ulp above the cumulative mass 0.5 at the cutoff; after member 1's shift "
-    "both round to 2.5, so member 1 brackets onto the cutoff's anchor and gets the anchor value 0.5 "
-    "instead of 0.5000000000000001, and its grid is [0.4999999999999999] instead of [0.5]; member 0 "
-    "(shift 0) agrees.",
-)
 @SETTINGS
 @given(case=cases("shared"))
 @example(case=pinned_shared_case())

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from optithresh.histograms import (
@@ -80,18 +80,24 @@ def grid_cohort_with_gaps(rng, n=5, n_bins=13, domain=UNIT):
     return Cohort(members)
 
 
+def selection_loss(cohort, spec, sel):
+    """The public loss of the shared cutoffs at positions ``sel``."""
+    cutoffs = cohort.shared_cutoffs
+    return evaluate_loss(cohort, ThresholdSet(tuple(cutoffs[np.sort(np.asarray(sel, dtype=np.intp))])), spec)
+
+
 def reference_search(cohort, k, spec, method, fixed=()):
-    """Grid solvers scoring every candidate from scratch with ``_selection_loss``.
+    """Grid solvers scoring every candidate from scratch with the public loss.
 
     Returns the thresholds and, for the stepwise methods, the trace of losses
     after each step.
     """
-    from optithresh.optimizers import TIE_TOL, _grid_tables, _selection_loss
+    from optithresh.optimizers import TIE_TOL
 
-    tables = _grid_tables(cohort, spec)
-    j = tables.cutoffs.size
-    fixed_pos = [int(np.searchsorted(tables.cutoffs, v)) for v in fixed]
-    loss = lambda sel: _selection_loss(tables, np.sort(np.asarray(sel, dtype=np.intp)), spec.kind)
+    cutoffs = cohort.shared_cutoffs
+    j = cutoffs.size
+    fixed_pos = [int(np.searchsorted(cutoffs, v)) for v in fixed]
+    loss = lambda sel: selection_loss(cohort, spec, sel)
     trace = []
     if method == "exhaustive":
         free = [i for i in range(j) if i not in fixed_pos]
@@ -123,7 +129,7 @@ def reference_search(cohort, k, spec, method, fixed=()):
                         best, best_loss = idx, cand
             sel = sorted(sel + [best])
             trace.append((len(trace) + 1, best_loss))
-    return tuple(float(tables.cutoffs[i]) for i in sel), tuple(trace)
+    return tuple(float(cutoffs[i]) for i in sel), tuple(trace)
 
 
 class TestL1SegmentScores:
@@ -131,17 +137,17 @@ class TestL1SegmentScores:
 
     @pytest.mark.parametrize("domain", [UNIT, Domain(1e7, 1e7 + 50.0)])
     def test_table_matches_selection_loss(self, rng, domain):
-        from optithresh.optimizers import _grid_tables, _selection_cols, _selection_loss
+        from optithresh.optimizers import _segment_table, _selection_cols
 
         for make in (grid_cohort, grid_cohort_with_gaps):
             cohort = make(rng, n=6, n_bins=17, domain=domain)
             spec = LossSpec(LossKind.L1, 45)
-            tables = _grid_tables(cohort, spec)
+            costs = _segment_table(cohort, spec)
             for size in (0, 1, 3, 8, 16):
                 sel = np.sort(rng.choice(16, size=size, replace=False))
-                cols = _selection_cols(tables, sel)
-                fast = tables.segment_costs(cols[:-1], cols[1:]).sum() / cohort.n / 46
-                exact = _selection_loss(tables, sel, LossKind.L1)
+                cols = _selection_cols(16, sel)
+                fast = costs(cols[:-1], cols[1:]).sum() / cohort.n / 46
+                exact = selection_loss(cohort, spec, sel)
                 assert fast == pytest.approx(exact, rel=1e-10, abs=1e-14)
 
     @pytest.mark.parametrize("method", ["exhaustive", "sa", "ss"])
@@ -185,6 +191,74 @@ class TestL1SegmentScores:
             assert fast.loss == exact.loss
             assert fast.trace == exact.trace
             assert fast.evaluations == exact.evaluations
+
+
+@st.composite
+def zero_tail_cases(draw):
+    """(cohort, K, fixed) for a shared-cutoff histogram cohort whose members end in empty bins.
+
+    Masses are normalised by their float sum, so a member's cumulative mass
+    often reaches 1 only at the domain's upper edge, where it is pinned,
+    although its last bin with mass ends earlier (at ``support_upper``).
+    """
+    n_bins = draw(st.integers(3, 8))
+    domain = Domain(0.0, float(n_bins))
+    cuts = np.arange(1.0, n_bins)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(2, 5))):
+        masses = rng.dirichlet(np.ones(n_bins))
+        masses[rng.integers(1, n_bins):] = 0.0
+        members.append(Histogram(domain, cuts, masses / masses.sum()))
+    k = draw(st.integers(1, min(4, cuts.size)))
+    fixed = (float(cuts[draw(st.integers(0, cuts.size - 1))]),)
+    return Cohort(members), k, fixed
+
+
+def zero_tail_example():
+    """Domain(0, 4) cut at 1, 2 and 3; the first member's masses sum to 1 - 5e-13, its last bin is empty."""
+    domain, cuts = Domain(0.0, 4.0), np.array([1.0, 2.0, 3.0])
+    members = [
+        Histogram(domain, cuts, np.array([0.1, 0.2, 0.7 - 5e-13, 0.0])),
+        Histogram(domain, cuts, np.array([0.4, 0.3, 0.3, 0.0])),
+    ]
+    return Cohort(members), 1, (2.0,)
+
+
+def public_minimum(cohort, k, spec, fixed):
+    """First K-subset of the cutoffs, in lexicographic order, of minimal ``evaluate_loss``."""
+    free = [c for c in cohort.shared_cutoffs.tolist() if c not in fixed]
+    best, best_loss = None, np.inf
+    for combo in itertools.combinations(free, k - len(fixed)):
+        t = ThresholdSet.ordered(combo + fixed, fixed)
+        loss = evaluate_loss(cohort, t, spec)
+        if loss < best_loss:
+            best, best_loss = t.thresholds, loss
+    return best, best_loss
+
+
+class TestSolversSearchThePublicLoss:
+    """Grid solvers rank and trace candidates by the loss they certify."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=zero_tail_cases(), kind=st.sampled_from([LossKind.L1, LossKind.L2]))
+    @example(case=zero_tail_example(), kind=LossKind.L1)
+    @example(case=zero_tail_example(), kind=LossKind.L2)
+    def test_exhaustive_and_stepwise_traces_match_evaluate_loss(self, case, kind):
+        cohort, k, fixed = case
+        spec = LossSpec(kind, 50)
+        for fix in ((), fixed):
+            res = exhaustive_search(cohort, k, spec, fix)
+            assert (res.thresholds.thresholds, res.loss) == public_minimum(cohort, k, spec, fix)
+        # A greedy run to K passes through the selections of the runs to every
+        # size in between, so each step's selection is that run's result.
+        j = cohort.shared_cutoffs.size
+        for step, loss in stepwise_aggregation(cohort, k, spec).trace:
+            step_result = stepwise_aggregation(cohort, j - step, spec)
+            assert loss == evaluate_loss(cohort, step_result.thresholds, spec)
+        for step, loss in stepwise_splitting(cohort, k, spec).trace:
+            step_result = stepwise_splitting(cohort, step, spec)
+            assert loss == evaluate_loss(cohort, step_result.thresholds, spec)
 
 
 class TestExhaustive:
@@ -249,7 +323,7 @@ class TestStepwise:
         # thresholds.  L2 is also checked on domains far from zero, where its
         # update needs centred values.  (There the from-scratch L1 loss itself
         # keeps only about ulp(offset)/width relative precision.)
-        from optithresh.optimizers import _grid_tables, _RemovalScan, _selection_loss
+        from optithresh.optimizers import _RemovalScan
 
         far = [Domain(1e7, 1e7 + 50.0), Domain(-1e9, -1e9 + 3.0), Domain(1e12, 1e12 + 400.0)]
         cases = [(UNIT, LossKind.L1), (UNIT, LossKind.L2)] + [(d, LossKind.L2) for d in far]
@@ -259,19 +333,18 @@ class TestStepwise:
             if n % 4 == 0:  # a repeated member: its pair distances stay zero
                 cohort = Cohort(cohort.members + cohort.members[:1])
             spec = LossSpec(kind, int(rng.integers(15, 60)))
-            tables = _grid_tables(cohort, spec)
-            scan = _RemovalScan(tables, kind, np.arange(tables.cutoffs.size, dtype=np.intp))
+            scan = _RemovalScan(cohort, spec, np.arange(cohort.shared_cutoffs.size, dtype=np.intp))
             while scan.sel.size:
                 positions = list(range(scan.sel.size))
                 losses = scan.candidate_losses(positions)
                 for pos, loss in zip(positions, losses):
-                    direct = _selection_loss(tables, np.delete(scan.sel, pos), kind)
+                    direct = selection_loss(cohort, spec, np.delete(scan.sel, pos))
                     assert loss == pytest.approx(direct, rel=1e-10, abs=1e-14)
                 scan.apply(int(np.argmin(losses)))
 
     def test_sa_l2_matches_from_scratch_greedy(self, rng):
         # SA under L2 takes the same steps as a greedy loop that scores every
-        # removal with `_selection_loss` and keeps the first best within TIE_TOL.
+        # removal with the public loss and keeps the first best within TIE_TOL.
         for trial in range(16):
             make = grid_cohort_with_gaps if trial % 2 else grid_cohort
             cohort = make(rng, n=int(rng.integers(2, 12)), n_bins=int(rng.integers(5, 16)))
