@@ -76,17 +76,7 @@ def _load_config(path) -> dict:
 
 
 def _mixture_spec(section: dict) -> MixtureSpec:
-    allowed = {
-        "base_thresholds",
-        "domain",
-        "noise_sd",
-        "noise_truncation",
-        "weight_scheme",
-        "n_subjects",
-        "obs_per_subject",
-        "histogram_cutoffs",
-    }
-    _check_keys(section, allowed, "input.mixture")
+    _check_keys(section, set(MixtureSpec.__dataclass_fields__), "input.mixture")
     kwargs = dict(section)
     try:
         if "domain" in kwargs:
@@ -101,15 +91,7 @@ def _mixture_spec(section: dict) -> MixtureSpec:
 
 
 def _de_config(section: dict, seed) -> DEConfig:
-    allowed = {
-        "population_size_per_dim",
-        "mutation_range",
-        "crossover_prob",
-        "max_generations",
-        "convergence_tol",
-        "seed",
-    }
-    _check_keys(section, allowed, "de")
+    _check_keys(section, set(DEConfig.__dataclass_fields__), "de")
     kwargs = dict(section)
     if seed is not None:
         kwargs["seed"] = seed
@@ -249,6 +231,8 @@ def _parse_fixed(raw) -> tuple:
         raise ConfigError(f"cannot parse fixed thresholds from {raw!r}")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"fixed thresholds must be finite, got {raw!r}")
+    if any(a == b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"fixed thresholds must be distinct, got {raw!r}")
     return values
 
 

@@ -26,6 +26,7 @@ from .histograms import (
     Histogram,
     QuantileGrid,
     ThresholdSet,
+    _order_statistic_indices,
     probability_grid,
 )
 
@@ -133,8 +134,7 @@ class Cohort:
                 mat = _histogram_quantiles(tables, u)
             else:
                 values = tables.values
-                idx = np.ceil(u[None, :] * values.sizes[:, None] - 1e-9).astype(np.int64)
-                np.clip(idx, 1, values.sizes[:, None], out=idx)
+                idx = _order_statistic_indices(u[None, :], values.sizes[:, None])
                 mat = values.flat[values.starts[:, None] + idx - 1]
             mat.setflags(write=False)
             self._cache[key] = mat

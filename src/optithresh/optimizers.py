@@ -32,7 +32,6 @@ from .losses import (
     _losses,
     _pair_mean,
     _require_pairs,
-    _SegmentTable,
     amalgamated_compositions,
     evaluate_loss,
 )
@@ -64,7 +63,7 @@ _SETTLE_RTOL = 1e-10
 _COMBO_CHUNK = 1 << 14
 
 #: Pair values per block of candidates in the L2 removal scan (a 128 KiB table).
-_TABLE_BLOCK = 1 << 14
+_PAIR_BLOCK = 1 << 14
 
 #: Grid values per block of candidates scored by the kernel (2 MiB of grids).
 _GRID_BLOCK = 1 << 18
@@ -156,55 +155,34 @@ def _grid_cutoffs(cohort: Cohort, spec: LossSpec) -> np.ndarray:
     """The shared cutoffs that the grid solvers select from."""
     if cohort.shared_cutoffs is None:
         raise ValueError("discrete solvers require a histogram cohort with shared cutoffs")
-    if spec.kind is LossKind.L2:
+    if spec.kind is not LossKind.L1:
         _require_pairs(cohort.n)
     return cohort.shared_cutoffs
 
 
-def _cutoff_anchors(cohort: Cohort) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's (n, J+2) anchors at all shared cutoffs.
-
-    Each anchor depends on its own threshold only, so the anchors of a
-    selection are bitwise the columns ``_selection_cols`` of these.
-    """
-    p, v = _anchor_rows(cohort, cohort.shared_cutoffs[None, :])
-    return p[0], v[0]
-
-
-def _segment_table(cohort: Cohort, spec: LossSpec) -> _SegmentTable:
-    """L1 segment costs between the kernel's anchors at all shared cutoffs."""
-    return cohort._l1_scorer(spec.grid_size).segment_table(*_cutoff_anchors(cohort))
-
-
 def _selection_cols(j: int, sel: np.ndarray) -> np.ndarray:
-    """Anchor columns of a selection of J cutoffs: the 0-anchor, the cutoffs, the 1-anchor."""
-    return np.concatenate(([0], np.asarray(sel, dtype=np.intp) + 1, [j + 1]))
+    """Anchor columns of selections of J cutoffs, along the last axis of ``sel``:
+    the 0-anchor, the cutoffs, the 1-anchor."""
+    sel = np.asarray(sel, dtype=np.intp)
+    return np.pad(sel + 1, [(0, 0)] * (sel.ndim - 1) + [(1, 1)], constant_values=(0, j + 1))
 
 
-def _kernel_losses(cohort: Cohort, spec: LossSpec, thresholds: np.ndarray) -> np.ndarray:
-    """Losses of (C, K) threshold rows, scored by the kernel a block of rows at a time.
+class _SelectionScan:
+    """Scores the candidates of the grid solvers: removals from the current
+    selection ``sel``, insertions into it and whole selections of cutoffs.
 
-    A single row, and under L2 every row, gets bitwise the loss that the
-    public ``evaluate_loss`` gives it.
-    """
-    block = max(1, _GRID_BLOCK // (cohort.n * spec.grid_size))
-    return np.concatenate(
-        [_loss_batch(cohort, thresholds[i:i + block], spec) for i in range(0, len(thresholds), block)]
-    )
+    It holds the kernel's anchors at all shared cutoffs.  Each anchor depends
+    on its own threshold only, so the anchors of a selection are bitwise the
+    columns ``_selection_cols`` of these.  Under L1 it also holds one table of
+    segment costs between them.
 
-
-# Incremental candidate scans for stepwise aggregation -------------------------
-
-
-class _RemovalScan:
-    """Evaluates all single-threshold removals from the current selection.
-
-    Removing one anchor only changes the linearized grids on the probability
-    span between its surviving neighbours, so each candidate is scored from the
-    current state plus a correction on that span: under L1 the correction is
-    read from the segment-cost table, under L2 it is a low-rank update of the
-    squared pairwise distances.  ``apply`` recomputes the state from scratch,
-    so corrections never accumulate.
+    Removing or inserting one anchor only changes the linearized grids on the
+    probability span between its neighbours, so under L1 such a candidate is
+    scored from the table's deltas, and under L2 a removal is a low-rank update
+    of the current squared pairwise distances.  L2 insertions and whole
+    selections are scored from scratch by the kernel.  ``remove`` and
+    ``insert`` recompute the state from scratch, so corrections never
+    accumulate, and ``loss`` is bitwise the public loss of ``sel``.
     """
 
     def __init__(self, cohort: Cohort, spec: LossSpec, sel: np.ndarray):
@@ -213,7 +191,8 @@ class _RemovalScan:
         self.cutoffs = cohort.shared_cutoffs
         self.u = probability_grid(spec.grid_size)
         self.sel = np.asarray(sel, dtype=np.intp)
-        self._p_all, self._v_all = _cutoff_anchors(cohort)
+        p, v = _anchor_rows(cohort, self.cutoffs[None, :])
+        self._p_all, self._v_all = p[0], v[0]
         if spec.kind is LossKind.L1:
             self.costs = cohort._l1_scorer(spec.grid_size).segment_table(self._p_all, self._v_all)
         else:
@@ -235,17 +214,42 @@ class _RemovalScan:
         # condensed squared distances between the grids.
         self.grids, self.terms = grids[0], terms[0]
 
-    def candidate_losses(self, positions: list) -> list:
-        """Losses after removing the threshold at each of ``positions``."""
-        pos = np.asarray(positions, dtype=np.intp)
+    def selection_losses(self, sel: np.ndarray) -> np.ndarray:
+        """Losses of the (C, K) selections ``sel``, under L2 bitwise those of ``evaluate_loss``."""
+        if self.spec.kind is LossKind.L1:
+            cols = _selection_cols(self.cutoffs.size, sel)
+            totals = self.costs(cols[:, :-1], cols[:, 1:]).sum(axis=1)
+            return _losses(self.cohort, totals, self.spec)
+        t = self.cutoffs[sel]
+        block = max(1, _GRID_BLOCK // (self.cohort.n * self.spec.grid_size))
+        return np.concatenate(
+            [_loss_batch(self.cohort, t[i:i + block], self.spec) for i in range(0, len(t), block)]
+        )
+
+    def insertion_losses(self, candidates: np.ndarray) -> np.ndarray:
+        """Losses after inserting each cutoff index of ``candidates`` into the selection."""
+        if self.spec.kind is not LossKind.L1:
+            kept = np.broadcast_to(self.sel, (candidates.size, self.sel.size))
+            grown = np.column_stack((kept, candidates))
+            return self.selection_losses(np.sort(grown, axis=1))
+        cols, costs = self.cols, self.costs
+        new = candidates + 1
+        slot = np.searchsorted(cols, new)
+        left, right = cols[slot - 1], cols[slot]
+        total = costs(cols[:-1], cols[1:]).sum()
+        delta = (costs(left, new) + costs(new, right)) - costs(left, right)
+        return _losses(self.cohort, total + delta, self.spec)
+
+    def removal_losses(self, pos: np.ndarray) -> np.ndarray:
+        """Losses after removing the threshold at each of the positions ``pos``."""
         if self.spec.kind is not LossKind.L1:
             return self._l2_losses(pos)
         left, mid, right = self.cols[pos], self.cols[pos + 1], self.cols[pos + 2]
         costs = self.costs
         delta = (costs(left, right) - costs(left, mid)) - costs(mid, right)
-        return _losses(self.cohort, self.terms + delta, self.spec).tolist()
+        return _losses(self.cohort, self.terms + delta, self.spec)
 
-    def _l2_losses(self, pos: np.ndarray) -> list:
+    def _l2_losses(self, pos: np.ndarray) -> np.ndarray:
         """L2 losses of removing the anchors after ``pos``, in blocks of candidates.
 
         Removing anchor k replaces each member's grid strictly between its
@@ -269,7 +273,7 @@ class _RemovalScan:
         hi = np.searchsorted(u, self.p[:, pos + 2].max(axis=0), side="left")
         out = np.full(pos.size, self.loss)
         todo = np.nonzero(lo < hi)[0]
-        block = max(1, _TABLE_BLOCK // self.terms.size)
+        block = max(1, _PAIR_BLOCK // self.terms.size)
         for start in range(0, todo.size, block):
             rows = todo[start:start + block]
             sq = np.empty((rows.size, self.terms.size))
@@ -278,7 +282,7 @@ class _RemovalScan:
                 sq[row] = self._removal_sq_dists(k, slice(lo[c], hi[c]), changes[k % 2], centred)
             np.maximum(sq, 0.0, out=sq)
             out[rows] = _losses(self.cohort, sq, self.spec)
-        return out.tolist()
+        return out
 
     def _removal_sq_dists(self, k, span, change, centred) -> np.ndarray:
         """Condensed squared distances between the grids once anchor ``k`` is removed.
@@ -317,8 +321,12 @@ class _RemovalScan:
         grids[:, span] += d
         return pdist(grids, metric="sqeuclidean")
 
-    def apply(self, position: int) -> None:
+    def remove(self, position: int) -> None:
         self.sel = np.delete(self.sel, position)
+        self._refresh()
+
+    def insert(self, index: int) -> None:
+        self.sel = np.sort(np.append(self.sel, index))
         self._refresh()
 
 
@@ -328,10 +336,16 @@ class _BrayCurtisRemovalScan:
     def __init__(self, cohort: Cohort, sel: np.ndarray):
         self.cohort = cohort
         self.base_bc = cohort.pairwise_base_bray_curtis()
+
+
+class _BrayCurtisRemovalScan:
+    """Removal scan for the compositional baseline objective."""
+
+    def __init__(self, cohort: Cohort, sel: np.ndarray):
+        self.cohort = cohort
+        self.base_bc = cohort.pairwise_base_bray_curtis()
         self.sel = np.asarray(sel, dtype=np.intp)
-        n = cohort.n
-        self._pair_scale = _pair_mean(1.0, n)
-        self._pair_i, self._pair_j = np.triu_indices(n, k=1)
+        self._pair_i, self._pair_j = np.triu_indices(cohort.n, k=1)
         self._refresh()
 
     def _refresh(self) -> None:
@@ -339,48 +353,55 @@ class _BrayCurtisRemovalScan:
         self.numerators = pdist(self.comps, metric="cityblock")
         sums = self.comps.sum(axis=1)
         self.denominators = sums[self._pair_i] + sums[self._pair_j]
-        diff = self.base_bc - self.numerators / self.denominators
-        self.loss = float(np.sum(diff * diff) * self._pair_scale)
+        self.loss = self._loss(self.numerators)
 
-    def candidate_loss(self, position: int) -> float:
-        left = self.comps[:, position][:, None]
-        right = self.comps[:, position + 1][:, None]
-        num = (
-            self.numerators
-            - pdist(left, metric="cityblock")
-            - pdist(right, metric="cityblock")
-            + pdist(left + right, metric="cityblock")
-        )
-        diff = self.base_bc - num / self.denominators
-        return float(np.sum(diff * diff) * self._pair_scale)
+    def _loss(self, numerators: np.ndarray) -> float:
+        """The objective, as ``loss_l2_braycurtis`` reduces it, from pair numerators."""
+        diff = self.base_bc - numerators / self.denominators
+        return float(_pair_mean(np.sum(diff * diff), self.cohort.n))
 
-    def candidate_losses(self, positions: list) -> list:
-        return [self.candidate_loss(pos) for pos in positions]
+    def removal_losses(self, positions: np.ndarray) -> np.ndarray:
+        """Losses after merging the two bins around the threshold at each of ``positions``."""
+        out = np.empty(len(positions))
+        for i, pos in enumerate(positions.tolist()):
+            left = self.comps[:, pos][:, None]
+            right = self.comps[:, pos + 1][:, None]
+            out[i] = self._loss(
+                self.numerators
+                - pdist(left, metric="cityblock")
+                - pdist(right, metric="cityblock")
+                + pdist(left + right, metric="cityblock")
+            )
+        return out
 
-    def apply(self, position: int) -> None:
+    def remove(self, position: int) -> None:
         self.sel = np.delete(self.sel, position)
         self._refresh()
 
 
-def _aggregate(cohort, k, fixed, scan, cutoffs) -> tuple:
-    """Shared greedy-removal loop; returns (selection, trace, candidate_evaluations)."""
-    fixed_pos = set(_fixed_positions(cutoffs, fixed).tolist())
+def _greedy(scan, k: int, fixed_pos: np.ndarray) -> tuple:
+    """Greedy search from ``scan.sel`` to K cutoffs; returns (selection, trace, evaluations).
+
+    Above K each step removes a threshold that is not fixed, below K it
+    inserts a cutoff: the move of least loss, the first in cutoff order within
+    ``TIE_TOL`` of it.  The trace holds the loss after each step.
+    """
     trace = []
     evaluations = 0
-    step = 0
-    while scan.sel.size > k:
-        best_pos = -1
-        best_loss = math.inf
-        positions = [pos for pos, idx in enumerate(scan.sel.tolist()) if idx not in fixed_pos]
-        for pos, cand in zip(positions, scan.candidate_losses(positions)):
-            evaluations += 1
-            if cand < best_loss - TIE_TOL:
-                best_pos, best_loss = pos, cand
-        if best_pos < 0:
-            raise ValueError(f"cannot reduce to {k} thresholds: all remaining are fixed")
-        scan.apply(best_pos)
-        step += 1
-        trace.append((step, scan.loss))
+    while scan.sel.size != k:
+        if scan.sel.size > k:
+            moves = np.nonzero(~np.isin(scan.sel, fixed_pos))[0]
+            losses, move = scan.removal_losses(moves), scan.remove
+        else:
+            moves = np.setdiff1d(np.arange(scan.cutoffs.size), scan.sel)
+            losses, move = scan.insertion_losses(moves), scan.insert
+        best, best_loss = -1, math.inf
+        for cand, loss in zip(moves.tolist(), losses.tolist()):
+            if loss < best_loss - TIE_TOL:
+                best, best_loss = cand, loss
+        evaluations += moves.size
+        move(best)
+        trace.append((len(trace) + 1, scan.loss))
     return scan.sel, tuple(trace), evaluations
 
 
@@ -434,21 +455,9 @@ def exhaustive_search(
             f"{n_combos} combinations exceed the budget of {budget}; "
             "use a stepwise or evolutionary solver instead"
         )
-    if spec.kind is LossKind.L1:
-        costs = _segment_table(cohort, spec)
-
-        def score(sel: np.ndarray) -> np.ndarray:
-            rows = len(sel)
-            cols = np.concatenate(
-                (np.zeros((rows, 1), np.intp), sel + 1, np.full((rows, 1), j + 1)), axis=1
-            )
-            return _losses(cohort, costs(cols[:, :-1], cols[:, 1:]).sum(axis=1), spec)
-    else:
-        def score(sel: np.ndarray) -> np.ndarray:
-            return _kernel_losses(cohort, spec, cutoffs[sel])
-
     combos = itertools.combinations(free.tolist(), n_free)
-    best_sel = _first_best(combos, n_free, fixed_pos, score)
+    scan = _SelectionScan(cohort, spec, fixed_pos)
+    best_sel = _first_best(combos, n_free, fixed_pos, scan.selection_losses)
     return _certify(cohort, cutoffs[best_sel], fixed, Method.EXHAUSTIVE, spec, n_combos, None)
 
 
@@ -477,21 +486,11 @@ def stepwise_aggregation(
     fixed = _normalize_fixed(fixed)
     cutoffs = _grid_cutoffs(cohort, spec)
     _check_k(k, fixed, cutoffs.size)
-    scan = _RemovalScan(cohort, spec, np.arange(cutoffs.size, dtype=np.intp))
-    sel, trace, evaluations = _aggregate(cohort, k, fixed, scan, cutoffs)
+    scan = _SelectionScan(cohort, spec, np.arange(cutoffs.size, dtype=np.intp))
+    sel, trace, evaluations = _greedy(scan, k, _fixed_positions(cutoffs, fixed))
     return _certify(
         cohort, cutoffs[sel], fixed, Method.STEPWISE_AGGREGATION, spec, evaluations, trace
     )
-
-
-def _l1_insertions(costs: _SegmentTable, j: int, sel: np.ndarray, candidates: np.ndarray):
-    """Summed L1 segment costs after inserting each candidate cutoff into the selection."""
-    cols = _selection_cols(j, sel)
-    new = candidates + 1
-    slot = np.searchsorted(cols, new)
-    left, right = cols[slot - 1], cols[slot]
-    total = costs(cols[:-1], cols[1:]).sum()
-    return total + ((costs(left, new) + costs(new, right)) - costs(left, right))
 
 
 def stepwise_splitting(
@@ -500,35 +499,11 @@ def stepwise_splitting(
     """Greedy forward selection: repeatedly add the loss-minimizing threshold."""
     fixed = _normalize_fixed(fixed)
     cutoffs = _grid_cutoffs(cohort, spec)
-    j = cutoffs.size
-    _check_k(k, fixed, j)
-    sel = np.sort(_fixed_positions(cutoffs, fixed))
-    costs = _segment_table(cohort, spec) if spec.kind is LossKind.L1 else None
-    trace = []
-    evaluations = 0
-    while sel.size < k:
-        candidates = np.setdiff1d(np.arange(j, dtype=np.intp), sel)
-        if costs is not None:
-            scores = _losses(cohort, _l1_insertions(costs, j, sel, candidates), spec)
-        else:
-            grown = np.column_stack((np.broadcast_to(sel, (candidates.size, sel.size)), candidates))
-            scores = _kernel_losses(cohort, spec, cutoffs[np.sort(grown, axis=1)])
-        best_idx = -1
-        best_loss = math.inf
-        for idx, cand in zip(candidates.tolist(), scores.tolist()):
-            evaluations += 1
-            if cand < best_loss - TIE_TOL:
-                best_idx, best_loss = idx, cand
-        sel = np.sort(np.append(sel, best_idx))
-        trace.append((len(trace) + 1, float(_kernel_losses(cohort, spec, cutoffs[sel][None, :])[0])))
+    _check_k(k, fixed, cutoffs.size)
+    fixed_pos = _fixed_positions(cutoffs, fixed)
+    sel, trace, evaluations = _greedy(_SelectionScan(cohort, spec, fixed_pos), k, fixed_pos)
     return _certify(
-        cohort,
-        cutoffs[sel],
-        fixed,
-        Method.STEPWISE_SPLITTING,
-        spec,
-        evaluations,
-        tuple(trace),
+        cohort, cutoffs[sel], fixed, Method.STEPWISE_SPLITTING, spec, evaluations, trace
     )
 
 
@@ -759,14 +734,11 @@ def paa_baseline(cohort: Cohort, k: int, fixed: FixedLike = None) -> Optimizatio
     to the quantile-grid losses.
     """
     fixed = _normalize_fixed(fixed)
-    if cohort.shared_cutoffs is None:
-        raise ValueError("the compositional baseline requires shared cutoffs")
-    cutoffs = cohort.shared_cutoffs
-    _check_k(k, fixed, cutoffs.size)
-    _require_pairs(cohort.n)
-    scan = _BrayCurtisRemovalScan(cohort, np.arange(cutoffs.size, dtype=np.intp))
-    sel, trace, evaluations = _aggregate(cohort, k, fixed, scan, cutoffs)
     spec = LossSpec(LossKind.L2_BRAY_CURTIS)
+    cutoffs = _grid_cutoffs(cohort, spec)
+    _check_k(k, fixed, cutoffs.size)
+    scan = _BrayCurtisRemovalScan(cohort, np.arange(cutoffs.size, dtype=np.intp))
+    sel, trace, evaluations = _greedy(scan, k, _fixed_positions(cutoffs, fixed))
     return _certify(cohort, cutoffs[sel], fixed, Method.PAA, spec, evaluations, trace)
 
 

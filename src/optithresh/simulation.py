@@ -88,9 +88,8 @@ class MixtureSpec:
             raise ValueError("histogram_cutoffs must be strictly increasing")
         if cuts and not (self.domain.lower < cuts[0] and cuts[-1] < self.domain.upper):
             raise ValueError("histogram_cutoffs must lie strictly inside the domain")
-        if self.weight_scheme in (WeightScheme.SETTING_1, WeightScheme.SETTING_2):
-            if len(base) != 3:
-                raise ValueError("both weight schemes expect exactly three base thresholds")
+        if len(base) != 3:
+            raise ValueError("both weight schemes expect exactly three base thresholds")
 
     @property
     def k_star(self) -> int:

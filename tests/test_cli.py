@@ -146,6 +146,8 @@ class TestOptimizeCommand:
             ([], {"fixed": 70}, "fixed must be a list of numbers"),
             ([], {"fixed": ["a"]}, "cannot parse fixed thresholds"),
             (["--fixed", "70,nan"], {}, "fixed thresholds must be finite"),
+            ([], {"fixed": [70, 70]}, "fixed thresholds must be distinct"),
+            (["--fixed", "70,70"], {}, "fixed thresholds must be distinct"),
             ([], {"mixture": {"domain": [1]}}, "invalid input.mixture"),
             ([], {"mixture": {"domain": ["a", 400]}}, "invalid input.mixture"),
             ([], {"mixture": {"histogram_cutoffs": 5}}, "invalid input.mixture"),
@@ -155,7 +157,8 @@ class TestOptimizeCommand:
             ([], {"de": 5}, "de must be a JSON object"),
             ([], {"input": {"kind": "simulation", "mixture": ["domain"]}}, "input.mixture must be a JSON object"),
         ],
-        ids=["fixed-number", "fixed-word", "fixed-nan-flag", "domain-short", "domain-word",
+        ids=["fixed-number", "fixed-word", "fixed-nan-flag", "fixed-repeated", "fixed-repeated-flag",
+             "domain-short", "domain-word",
              "cutoffs-number", "mutation-number", "generations-fraction", "population-fraction",
              "de-number", "mixture-list"],
     )

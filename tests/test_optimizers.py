@@ -137,12 +137,12 @@ class TestL1SegmentScores:
 
     @pytest.mark.parametrize("domain", [UNIT, Domain(1e7, 1e7 + 50.0)])
     def test_table_matches_selection_loss(self, rng, domain):
-        from optithresh.optimizers import _segment_table, _selection_cols
+        from optithresh.optimizers import _selection_cols, _SelectionScan
 
         for make in (grid_cohort, grid_cohort_with_gaps):
             cohort = make(rng, n=6, n_bins=17, domain=domain)
             spec = LossSpec(LossKind.L1, 45)
-            costs = _segment_table(cohort, spec)
+            costs = _SelectionScan(cohort, spec, np.arange(0)).costs
             for size in (0, 1, 3, 8, 16):
                 sel = np.sort(rng.choice(16, size=size, replace=False))
                 cols = _selection_cols(16, sel)
@@ -260,6 +260,16 @@ class TestSolversSearchThePublicLoss:
             step_result = stepwise_splitting(cohort, step, spec)
             assert loss == evaluate_loss(cohort, step_result.thresholds, spec)
 
+    def test_paa_trace_matches_loss_l2_braycurtis(self, rng):
+        # Each PAA trace value is the public Bray-Curtis loss of that step's
+        # selection, to the last bit, also where the pair mean's rounding
+        # depends on how the normalisation is written.
+        for trial in range(40):
+            cohort = grid_cohort(rng, n=int(rng.integers(3, 9)), n_bins=int(rng.integers(4, 10)))
+            j = cohort.shared_cutoffs.size
+            for step, loss in paa_baseline(cohort, 0).trace:
+                assert loss == paa_baseline(cohort, j - step).loss
+
 
 class TestExhaustive:
     def test_k_equals_j_gives_all_cutoffs_and_zero_loss(self, rng):
@@ -323,7 +333,7 @@ class TestStepwise:
         # thresholds.  L2 is also checked on domains far from zero, where its
         # update needs centred values.  (There the from-scratch L1 loss itself
         # keeps only about ulp(offset)/width relative precision.)
-        from optithresh.optimizers import _RemovalScan
+        from optithresh.optimizers import _SelectionScan
 
         far = [Domain(1e7, 1e7 + 50.0), Domain(-1e9, -1e9 + 3.0), Domain(1e12, 1e12 + 400.0)]
         cases = [(UNIT, LossKind.L1), (UNIT, LossKind.L2)] + [(d, LossKind.L2) for d in far]
@@ -333,18 +343,28 @@ class TestStepwise:
             if n % 4 == 0:  # a repeated member: its pair distances stay zero
                 cohort = Cohort(cohort.members + cohort.members[:1])
             spec = LossSpec(kind, int(rng.integers(15, 60)))
-            scan = _RemovalScan(cohort, spec, np.arange(cohort.shared_cutoffs.size, dtype=np.intp))
+            scan = _SelectionScan(cohort, spec, np.arange(cohort.shared_cutoffs.size, dtype=np.intp))
             while scan.sel.size:
-                positions = list(range(scan.sel.size))
-                losses = scan.candidate_losses(positions)
+                positions = np.arange(scan.sel.size)
+                losses = scan.removal_losses(positions)
                 for pos, loss in zip(positions, losses):
                     direct = selection_loss(cohort, spec, np.delete(scan.sel, pos))
                     assert loss == pytest.approx(direct, rel=1e-10, abs=1e-14)
-                scan.apply(int(np.argmin(losses)))
+                scan.remove(int(np.argmin(losses)))
 
     def test_sa_l2_matches_from_scratch_greedy(self, rng):
         # SA under L2 takes the same steps as a greedy loop that scores every
         # removal with the public loss and keeps the first best within TIE_TOL.
+        self.check_l2_greedy(rng, stepwise_aggregation, "sa")
+
+    def test_ss_l2_matches_from_scratch_greedy(self, rng):
+        # Likewise SS, inserting from the fixed thresholds.
+        self.check_l2_greedy(rng, stepwise_splitting, "ss")
+
+    @staticmethod
+    def check_l2_greedy(rng, solver, method):
+        """Thresholds, certified loss and trace of ``solver`` under L2, bit for bit
+        against ``reference_search``, with and without fixed thresholds and empty bins."""
         for trial in range(16):
             make = grid_cohort_with_gaps if trial % 2 else grid_cohort
             cohort = make(rng, n=int(rng.integers(2, 12)), n_bins=int(rng.integers(5, 16)))
@@ -354,8 +374,8 @@ class TestStepwise:
                 float(v) for v in np.sort(rng.choice(cuts, size=1 + trial % 2, replace=False))
             )
             k = int(rng.integers(len(fixed), cuts.size))
-            res = stepwise_aggregation(cohort, k, spec, fixed)
-            thresholds, trace = reference_search(cohort, k, spec, "sa", fixed)
+            res = solver(cohort, k, spec, fixed)
+            thresholds, trace = reference_search(cohort, k, spec, method, fixed)
             assert res.thresholds.thresholds == thresholds
             assert res.loss == evaluate_loss(cohort, ThresholdSet(thresholds), spec)
             assert res.trace == trace
@@ -542,10 +562,10 @@ class TestPaa:
         cohort = grid_cohort(rng, n=4, n_bins=8)
         cuts = cohort.members[0].cutoffs
         scan = _BrayCurtisRemovalScan(cohort, np.arange(7, dtype=np.intp))
-        for pos in range(7):
+        for pos, loss in enumerate(scan.removal_losses(np.arange(7))):
             t = ThresholdSet(tuple(np.delete(cuts, pos)))
             direct = loss_l2_braycurtis(cohort, t)
-            assert scan.candidate_loss(pos) == pytest.approx(direct, rel=1e-10, abs=1e-14)
+            assert loss == pytest.approx(direct, rel=1e-10, abs=1e-14)
 
     def test_rejects_sample_cohorts(self, rng):
         from conftest import random_sample
