@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from ._interp import _interpolate, interp_rows
 from .histograms import (
@@ -144,7 +143,7 @@ class Cohort:
         """Condensed Euclidean norms between base quantile grids."""
         key = ("pnorms", grid_size)
         if key not in self._cache:
-            norms = pdist(self.quantile_matrix(grid_size))
+            norms = _pdist(self.quantile_matrix(grid_size), "euclidean")
             norms.setflags(write=False)
             self._cache[key] = norms
         return self._cache[key]
@@ -315,6 +314,13 @@ def _require_pairs(n: int) -> None:
         raise ValueError("pairwise loss requires at least two cohort members")
 
 
+def _pdist(x: np.ndarray, metric: str) -> np.ndarray:
+    """scipy's condensed ``pdist``, imported on first use so L1 runs never load scipy."""
+    from scipy.spatial.distance import pdist
+
+    return pdist(x, metric=metric)
+
+
 def _loss_terms(cohort: Cohort, lin: np.ndarray, kind: LossKind) -> np.ndarray:
     """What each candidate's loss sums, from its linearized grids ``lin`` (B, n, M).
 
@@ -326,7 +332,7 @@ def _loss_terms(cohort: Cohort, lin: np.ndarray, kind: LossKind) -> np.ndarray:
         return np.einsum("bnm,bnm->b", diff, diff)
     if kind is LossKind.L2:
         _require_pairs(cohort.n)
-        return np.stack([pdist(grids, metric="sqeuclidean") for grids in lin])
+        return np.stack([_pdist(grids, "sqeuclidean") for grids in lin])
     raise ValueError(f"unsupported loss kind {kind} for quantile-grid evaluation")
 
 
@@ -538,7 +544,7 @@ def bray_curtis(x, y) -> float:
 
 
 def _bray_curtis_condensed(comps: np.ndarray) -> np.ndarray:
-    numerator = pdist(comps, metric="cityblock")
+    numerator = _pdist(comps, "cityblock")
     row_sums = comps.sum(axis=1)
     i, j = np.triu_indices(comps.shape[0], k=1)
     return numerator / (row_sums[i] + row_sums[j])

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from ._interp import interp_rows
 from .histograms import Domain, ThresholdSet, probability_grid
@@ -31,6 +30,7 @@ from .losses import (
     _loss_terms,
     _losses,
     _pair_mean,
+    _pdist,
     _require_pairs,
     amalgamated_compositions,
     evaluate_loss,
@@ -319,7 +319,7 @@ class _SelectionScan:
             return sq
         grids = self.grids.copy()
         grids[:, span] += d
-        return pdist(grids, metric="sqeuclidean")
+        return _pdist(grids, "sqeuclidean")
 
     def remove(self, position: int) -> None:
         self.sel = np.delete(self.sel, position)
@@ -350,7 +350,8 @@ class _BrayCurtisRemovalScan:
 
     def _refresh(self) -> None:
         self.comps = amalgamated_compositions(self.cohort, self.sel)
-        self.numerators = pdist(self.comps, metric="cityblock")
+        self.numerators = _pdist(self.comps, "cityblock")
+        self._columns = np.ascontiguousarray(self.comps.T)
         sums = self.comps.sum(axis=1)
         self.denominators = sums[self._pair_i] + sums[self._pair_j]
         self.loss = self._loss(self.numerators)
@@ -363,14 +364,15 @@ class _BrayCurtisRemovalScan:
     def removal_losses(self, positions: np.ndarray) -> np.ndarray:
         """Losses after merging the two bins around the threshold at each of ``positions``."""
         out = np.empty(len(positions))
+        pi, pj = self._pair_i, self._pair_j
         for i, pos in enumerate(positions.tolist()):
-            left = self.comps[:, pos][:, None]
-            right = self.comps[:, pos + 1][:, None]
+            left, right = self._columns[pos], self._columns[pos + 1]
+            merged = left + right
             out[i] = self._loss(
                 self.numerators
-                - pdist(left, metric="cityblock")
-                - pdist(right, metric="cityblock")
-                + pdist(left + right, metric="cityblock")
+                - np.abs(left[pi] - left[pj])
+                - np.abs(right[pi] - right[pj])
+                + np.abs(merged[pi] - merged[pj])
             )
         return out
 

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as the benchmark and CI use: more threads make SA's L2
+# removal products burn CPU without saving time.  Set before numpy loads BLAS.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

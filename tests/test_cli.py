@@ -1,6 +1,9 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -380,6 +383,67 @@ class TestOptimizeArtifacts:
             assert (out / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
         text = (out / "linearization.csv").read_text(encoding="utf-8")
         assert "e-05" in text or "e+16" in text
+
+
+FRESH_RUNS = """
+import json, sys
+import optithresh
+import optithresh.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = {"after_import": loaded(), "codes": []}
+for args in json.loads(sys.argv[1]):
+    try:
+        optithresh.cli.main.main(args, prog_name="optithresh")
+    except SystemExit as exc:
+        report["codes"].append(exc.code)
+report["after_runs"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def fresh_cli_runs(arg_lists):
+    """Run ``optithresh`` commands in one fresh interpreter; its exit codes and loaded scipy modules."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS, json.dumps(arg_lists)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyImport:
+    """scipy is loaded by the first pairwise loss, never by L1 runs."""
+
+    def test_l1_runs_never_load_scipy(self, tmp_path):
+        sim = TestOptimizeCommand().config(tmp_path, k=2, grid_size=40)
+        rows = ["id,time,gl"] + [f"{s},{i * 300},{b + i % 7}" for s, b in (("a", 100), ("b", 180)) for i in range(60)]
+        data = tmp_path / "cgm.csv"
+        data.write_text("\n".join(rows) + "\n")
+        csv_cfg = write_config(
+            tmp_path,
+            "csv.json",
+            {"input": {"kind": "csv", "path": str(data)}, "loss": "l1", "method": "de", "k": 1, "grid_size": 40},
+        )
+        runs = [
+            ["optimize", "--config", sim, "--method", method, "--out", str(tmp_path / method)]
+            for method in ("de", "sa", "ss", "exhaustive")
+        ]
+        runs.append(["optimize", "--config", csv_cfg, "--out", str(tmp_path / "csv")])
+        report = fresh_cli_runs(runs)
+        assert report == {"after_import": [], "codes": [0] * 5, "after_runs": []}
+        assert all((tmp_path / name / "result.json").exists() for name in ("de", "sa", "ss", "exhaustive", "csv"))
+
+    def test_l2_run_loads_scipy(self, tmp_path):
+        cfg = TestOptimizeCommand().config(tmp_path, loss="l2", method="sa", k=2, grid_size=40)
+        report = fresh_cli_runs([["optimize", "--config", cfg, "--out", str(tmp_path / "out")]])
+        assert report["after_import"] == [] and report["codes"] == [0]
+        assert "scipy.spatial.distance" in report["after_runs"]
 
 
 class TestSimulateCommand:

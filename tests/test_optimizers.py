@@ -567,6 +567,44 @@ class TestPaa:
             direct = loss_l2_braycurtis(cohort, t)
             assert loss == pytest.approx(direct, rel=1e-10, abs=1e-14)
 
+    def test_removal_losses_match_pdist_formula(self, rng):
+        # The column gathers give bitwise the losses of three one-column
+        # cityblock `pdist` calls per candidate, at every step down to K=0.
+        from scipy.spatial.distance import pdist
+
+        from optithresh.optimizers import _BrayCurtisRemovalScan
+
+        def pdist_losses(scan, positions):
+            out = []
+            for pos in positions.tolist():
+                left = scan.comps[:, pos][:, None]
+                right = scan.comps[:, pos + 1][:, None]
+                out.append(
+                    scan._loss(
+                        scan.numerators
+                        - pdist(left, metric="cityblock")
+                        - pdist(right, metric="cityblock")
+                        + pdist(left + right, metric="cityblock")
+                    )
+                )
+            return np.array(out)
+
+        for n, n_bins in [(2, 3), (5, 8), (12, 20), (30, 41)]:
+            masses = rng.dirichlet(np.full(n_bins, 0.3), size=n)
+            masses[rng.random(masses.shape) < 0.25] = 0.0
+            masses[:, 0] += 1e-3
+            masses[n // 2] = masses[0]  # a repeated member
+            masses[1:, 1] = masses[0, 1]  # every member tied in one bin
+            masses /= masses.sum(axis=1, keepdims=True)
+            cuts = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+            cohort = Cohort([Histogram(UNIT, cuts, m) for m in masses])
+            scan = _BrayCurtisRemovalScan(cohort, np.arange(n_bins - 1, dtype=np.intp))
+            while scan.sel.size:
+                positions = np.arange(scan.sel.size)
+                losses = scan.removal_losses(positions)
+                assert np.array_equal(losses, pdist_losses(scan, positions))
+                scan.remove(int(rng.integers(scan.sel.size)))
+
     def test_rejects_sample_cohorts(self, rng):
         from conftest import random_sample
 
