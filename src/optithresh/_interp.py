@@ -41,15 +41,20 @@ def _interpolate(p: np.ndarray, v: np.ndarray, hi: np.ndarray, q: np.ndarray) ->
     lo_p = p[hi - 1]
     hi_v = v[hi]
     lo_v = v[hi - 1]
+    # Exact anchor hits are left-continuous.
+    pinned = hi_p == q
+    # lo_v + (q - lo_p) / (hi_p - lo_p) * (hi_v - lo_v) in that order, in the
+    # gathered arrays: the widths go to hi_p and the values to lo_p.
+    width = np.subtract(hi_p, lo_p, out=hi_p)
+    out = np.subtract(q, lo_p, out=lo_p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = lo_v + (q - lo_p) / (hi_p - lo_p) * (hi_v - lo_v)
+        out /= width
+        out *= np.subtract(hi_v, lo_v, out=width)
+        out += lo_v
     # The true value lies in [lo_v, hi_v]; clamping removes last-ulp overshoot
     # so outputs stay monotone across segment boundaries.
     np.clip(out, lo_v, hi_v, out=out)
-    # Exact anchor hits are left-continuous.
-    pinned = hi_p == q
-    if pinned.any():
-        out = np.where(pinned, hi_v, out)
+    np.copyto(out, hi_v, where=pinned)
     return out
 
 

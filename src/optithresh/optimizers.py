@@ -11,6 +11,7 @@ public loss functions so results certify against them exactly.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +50,8 @@ __all__ = [
     "optimize",
     "round_up_thresholds",
 ]
+
+log = logging.getLogger(__name__)
 
 #: Loss improvements below this are treated as ties and broken toward the
 #: smaller threshold value.
@@ -181,8 +184,11 @@ class _SelectionScan:
     scored from the table's deltas, and under L2 a removal is a low-rank update
     of the current squared pairwise distances.  L2 insertions and whole
     selections are scored from scratch by the kernel.  ``remove`` and
-    ``insert`` recompute the state from scratch, so corrections never
-    accumulate, and ``loss`` is bitwise the public loss of ``sel``.
+    ``insert`` take the grids, terms and loss of the new selection from the
+    kernel, so corrections never accumulate, and ``loss`` is bitwise the
+    public loss of ``sel``.  L2 removal updates are kept from step to step
+    while no removal changes the grids on their span; ``reuse`` counts the
+    updates of the last scoring call that were kept and those computed.
     """
 
     def __init__(self, cohort: Cohort, spec: LossSpec, sel: np.ndarray):
@@ -200,7 +206,10 @@ class _SelectionScan:
             n = cohort.n
             self._pair_i, self._pair_j = np.triu_indices(n, k=1)
             self._flat_ij = self._pair_i * n + self._pair_j
-            self._flat_ji = self._pair_j * n + self._pair_i
+        # L2 removal updates (Δ, scale), keyed by the candidate's anchor
+        # columns (left, mid, right) and its span of grid columns [lo, hi).
+        self._updates = {}
+        self.reuse = (0, 0)
         self._refresh()
 
     def _refresh(self) -> None:
@@ -228,6 +237,7 @@ class _SelectionScan:
 
     def insertion_losses(self, candidates: np.ndarray) -> np.ndarray:
         """Losses after inserting each cutoff index of ``candidates`` into the selection."""
+        self.reuse = (0, candidates.size)
         if self.spec.kind is not LossKind.L1:
             kept = np.broadcast_to(self.sel, (candidates.size, self.sel.size))
             grown = np.column_stack((kept, candidates))
@@ -244,114 +254,163 @@ class _SelectionScan:
         """Losses after removing the threshold at each of the positions ``pos``."""
         if self.spec.kind is not LossKind.L1:
             return self._l2_losses(pos)
+        self.reuse = (0, pos.size)
         left, mid, right = self.cols[pos], self.cols[pos + 1], self.cols[pos + 2]
         costs = self.costs
         delta = (costs(left, right) - costs(left, mid)) - costs(mid, right)
         return _losses(self.cohort, self.terms + delta, self.spec)
 
+    def _spans(self, pos: np.ndarray) -> tuple:
+        """Grid columns [lo, hi) that removing the anchors after ``pos`` can change."""
+        lo = np.searchsorted(self.u, self.p[:, pos].min(axis=0), side="right")
+        hi = np.searchsorted(self.u, self.p[:, pos + 2].max(axis=0), side="left")
+        return lo, hi
+
     def _l2_losses(self, pos: np.ndarray) -> np.ndarray:
         """L2 losses of removing the anchors after ``pos``, in blocks of candidates.
+
+        A candidate changes the grids only on the span of grid points between
+        its neighbours' extreme anchor probabilities; one without such points
+        keeps the current loss.  The others add their update Δ to the current
+        terms.  Δ depends on the candidate's anchors and on the grids on its
+        span only, so it is kept until a removal overlaps that span, and only
+        the candidates without one pay for the chords of ``_chord_changes``.
+        """
+        lo, hi = self._spans(pos)
+        out = np.full(pos.size, self.loss)
+        todo = np.nonzero(lo < hi)[0]
+        left, mid, right = self.cols[pos], self.cols[pos + 1], self.cols[pos + 2]
+        keys = list(zip(*(a[todo].tolist() for a in (left, mid, right, lo, hi))))
+        kept, self._updates = self._updates, {}
+        reused = sum(key in kept for key in keys)
+        self.reuse = (reused, len(keys) - reused)
+        changes = centred = None
+        block = max(1, _PAIR_BLOCK // self.terms.size)
+        for start in range(0, todo.size, block):
+            rows = todo[start:start + block]
+            sq = np.empty((rows.size, self.terms.size))
+            for row, (c, key) in enumerate(zip(rows.tolist(), keys[start:start + block])):
+                k, span = int(pos[c]) + 1, slice(key[3], key[4])
+                update = kept.get(key)
+                if update is None:
+                    if changes is None:
+                        changes, centred = self._chord_changes()
+                    d = self._removal_change(changes, k, span)
+                    update = self._removal_update(d, centred[:, span])
+                self._updates[key] = update
+                delta, scale = update
+                np.add(self.terms, delta, out=sq[row])
+                if self._cancels(sq[row], scale):
+                    if changes is None:
+                        changes, centred = self._chord_changes()
+                    grids = self.grids.copy()
+                    grids[:, span] += self._removal_change(changes, k, span)
+                    sq[row] = _pdist(grids, "sqeuclidean")
+            np.maximum(sq, 0.0, out=sq)
+            out[rows] = _losses(self.cohort, sq, self.spec)
+        return out
+
+    def _chord_changes(self) -> tuple:
+        """Chord minus grid for removing any anchor, and 2·(grids − column mean).
 
         Removing anchor k replaces each member's grid strictly between its
         anchors k − 1 and k + 1 by their chord, which is the curve through
         every other anchor there: through the even anchors for odd k, the odd
         ones for even k.  Two ``interp_rows`` calls thus give every
-        candidate's new values.  A candidate changes the grids only on the span
-        of grid points between its neighbours' extreme anchor probabilities;
-        one without such points keeps the current loss.
+        candidate's new values.
         """
-        u = self.u
         last = self.p.shape[1] - 1
         changes = []
         for first in (1, 0):  # the chords used by even, then odd anchors
             keep = np.unique(np.r_[0, first:last:2, last])
-            chord = interp_rows(self.p[:, keep], self.v[:, keep], u)
+            chord = interp_rows(self.p[:, keep], self.v[:, keep], self.u)
             changes.append(np.subtract(chord, self.grids, out=chord))
         centred = self.grids - self.grids.mean(axis=0)
         centred *= 2.0
-        lo = np.searchsorted(u, self.p[:, pos].min(axis=0), side="right")
-        hi = np.searchsorted(u, self.p[:, pos + 2].max(axis=0), side="left")
-        out = np.full(pos.size, self.loss)
-        todo = np.nonzero(lo < hi)[0]
-        block = max(1, _PAIR_BLOCK // self.terms.size)
-        for start in range(0, todo.size, block):
-            rows = todo[start:start + block]
-            sq = np.empty((rows.size, self.terms.size))
-            for row, c in enumerate(rows.tolist()):
-                k = int(pos[c]) + 1
-                sq[row] = self._removal_sq_dists(k, slice(lo[c], hi[c]), changes[k % 2], centred)
-            np.maximum(sq, 0.0, out=sq)
-            out[rows] = _losses(self.cohort, sq, self.spec)
-        return out
+        return changes, centred
 
-    def _removal_sq_dists(self, k, span, change, centred) -> np.ndarray:
-        """Condensed squared distances between the grids once anchor ``k`` is removed.
-
-        Each member's grid changes by ``change`` (chord minus grid) strictly
-        between its anchors k − 1 and k + 1; on columns ``span`` that is d,
-        zero elsewhere.  With s = d + ``centred``, where ``centred`` is
-        2·(old − column mean), the change of a squared distance is
-        Δ_ij = Σ (d_i − d_j)(s_i − s_j) = X_ii + X_jj − X_ij − X_ji for
-        X = d·sᵀ.  Centring ``old`` before adding d keeps s small on domains
-        far from zero.  Where a new distance nearly cancels against the terms
-        (grids that become identical, as when the last anchor goes), the
-        update keeps too few digits, and the distances are taken from the new
-        grids directly.
-        """
+    def _removal_change(self, changes: list, k: int, span: slice) -> np.ndarray:
+        """d: each member's grid change on columns ``span`` once anchor ``k`` is removed,
+        the chord minus the grid strictly between its anchors k − 1 and k + 1."""
         us = self.u[span]
         inside = (us > self.p[:, k - 1, None]) & (us < self.p[:, k + 1, None])
-        d = np.where(inside, change[:, span], 0.0)
-        s = d + centred[:, span]
+        return np.where(inside, changes[k % 2][:, span], 0.0)
+
+    def _removal_update(self, d: np.ndarray, centred: np.ndarray) -> tuple:
+        """(Δ, scale): the change of the condensed squared distances for grid change ``d``.
+
+        With s = d + ``centred``, where ``centred`` is 2·(old − column mean)
+        on the same columns, the change of a squared distance is
+        Δ_ij = Σ (d_i − d_j)(s_i − s_j) = (X_ii + X_jj) − (X_ij + X_ji) for
+        X = d·sᵀ.  Centring ``old`` before adding d keeps s small on domains
+        far from zero.  ``scale`` bounds the terms that cancel:
+        |X_ij| <= |d_i|·|s_j|.
+        """
+        s = d + centred
         x = d @ s.T
         r = x.diagonal()
-        flat = x.ravel()
-        sq = self.terms + (
-            (r[self._pair_i] + r[self._pair_j]) - (flat[self._flat_ij] + flat[self._flat_ji])
-        )
-        # |X_ij| <= |d_i|·|s_j| bounds the terms that cancel.  A distance below
-        # `small` keeps about √small of absolute precision, which spoils its
-        # loss term (base − √sq)² unless the base distance is as small (as for
-        # identical members).
+        delta = np.add.outer(r, r)
+        delta -= x + x.T
         scale = math.sqrt(np.einsum("ij,ij->i", d, d).max() * np.einsum("ij,ij->i", s, s).max())
+        return delta.ravel()[self._flat_ij], scale
+
+    def _cancels(self, sq: np.ndarray, scale: float) -> bool:
+        """Whether updated distances ``sq`` kept too few digits to give their loss.
+
+        A distance below `small` keeps about √small of absolute precision,
+        which spoils its loss term (base − √sq)² unless the base distance is
+        as small (as for identical members).  Such a candidate, as when the
+        grids become identical when the last anchor goes, takes its distances
+        from the new grids directly.
+        """
         small = _CANCEL_RTOL * scale
+        if sq.min() >= small:
+            return False
         base_norms = self.cohort.pairwise_base_norms(self.spec.grid_size)
-        if sq.min() >= small or not np.any((sq < small) & (base_norms > math.sqrt(small))):
-            return sq
-        grids = self.grids.copy()
-        grids[:, span] += d
-        return _pdist(grids, "sqeuclidean")
+        return bool(np.any((sq < small) & (base_norms > math.sqrt(small))))
 
     def remove(self, position: int) -> None:
+        if self._updates:
+            # The grids, and so d and s, change only on the removed span.
+            lo, hi = (int(a[0]) for a in self._spans(np.array([position])))
+            self._updates = {
+                key: update for key, update in self._updates.items()
+                if max(key[3], lo) >= min(key[4], hi)
+            }
         self.sel = np.delete(self.sel, position)
         self._refresh()
 
     def insert(self, index: int) -> None:
+        self._updates = {}
         self.sel = np.sort(np.append(self.sel, index))
         self._refresh()
 
 
 class _BrayCurtisRemovalScan:
-    """Removal scan for the compositional baseline objective."""
+    """Removal scan for the compositional baseline objective.
 
-    def __init__(self, cohort: Cohort, sel: np.ndarray):
-        self.cohort = cohort
-        self.base_bc = cohort.pairwise_base_bray_curtis()
-
-
-class _BrayCurtisRemovalScan:
-    """Removal scan for the compositional baseline objective."""
+    A column of the amalgamated compositions depends only on the range of
+    bins it merges, so its pair terms |x_i − x_j| are kept from step to step
+    under that range; after a removal only the merged column is new.
+    ``reuse`` counts the columns of the last scoring call that were kept and
+    those computed.
+    """
 
     def __init__(self, cohort: Cohort, sel: np.ndarray):
         self.cohort = cohort
         self.base_bc = cohort.pairwise_base_bray_curtis()
         self.sel = np.asarray(sel, dtype=np.intp)
         self._pair_i, self._pair_j = np.triu_indices(cohort.n, k=1)
+        self._column_terms = {}  # (first bin, end bin) -> pair terms of that column
+        self.reuse = (0, 0)
         self._refresh()
 
     def _refresh(self) -> None:
         self.comps = amalgamated_compositions(self.cohort, self.sel)
         self.numerators = _pdist(self.comps, "cityblock")
         self._columns = np.ascontiguousarray(self.comps.T)
+        # Column c merges the bins [bounds[c], bounds[c + 1]).
+        self._bounds = np.r_[0, self.sel + 1, self.cohort.compositions().shape[1]].tolist()
         sums = self.comps.sum(axis=1)
         self.denominators = sums[self._pair_i] + sums[self._pair_j]
         self.loss = self._loss(self.numerators)
@@ -363,16 +422,22 @@ class _BrayCurtisRemovalScan:
 
     def removal_losses(self, positions: np.ndarray) -> np.ndarray:
         """Losses after merging the two bins around the threshold at each of ``positions``."""
-        out = np.empty(len(positions))
         pi, pj = self._pair_i, self._pair_j
+        kept, self._column_terms = self._column_terms, {}
+        terms = {}
+        for col in np.union1d(positions, positions + 1).tolist():
+            key = (self._bounds[col], self._bounds[col + 1])
+            column = self._columns[col]
+            found = kept.get(key)
+            terms[col] = np.abs(column[pi] - column[pj]) if found is None else found
+            self._column_terms[key] = terms[col]
+        reused = sum(key in kept for key in self._column_terms)
+        self.reuse = (reused, len(terms) - reused)
+        out = np.empty(len(positions))
         for i, pos in enumerate(positions.tolist()):
-            left, right = self._columns[pos], self._columns[pos + 1]
-            merged = left + right
+            merged = self._columns[pos] + self._columns[pos + 1]
             out[i] = self._loss(
-                self.numerators
-                - np.abs(left[pi] - left[pj])
-                - np.abs(right[pi] - right[pj])
-                + np.abs(merged[pi] - merged[pj])
+                self.numerators - terms[pos] - terms[pos + 1] + np.abs(merged[pi] - merged[pj])
             )
         return out
 
@@ -402,6 +467,11 @@ def _greedy(scan, k: int, fixed_pos: np.ndarray) -> tuple:
             if loss < best_loss - TIE_TOL:
                 best, best_loss = cand, loss
         evaluations += moves.size
+        log.debug(
+            "greedy step %d from %d thresholds: %d candidates scored, "
+            "%d updates reused, %d recomputed",
+            len(trace) + 1, scan.sel.size, moves.size, *scan.reuse,
+        )
         move(best)
         trace.append((len(trace) + 1, scan.loss))
     return scan.sel, tuple(trace), evaluations

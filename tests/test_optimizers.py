@@ -352,6 +352,104 @@ class TestStepwise:
                     assert loss == pytest.approx(direct, rel=1e-10, abs=1e-14)
                 scan.remove(int(np.argmin(losses)))
 
+    def test_sa_l2_kept_updates_match_a_fresh_scan(self, rng):
+        # Removal losses from updates kept across steps are bitwise those of a
+        # scan built afresh at the same selection, at every step down to the
+        # fixed thresholds: argmin and random removals, far domains, empty
+        # bins and a repeated member.
+        from optithresh.optimizers import _SelectionScan
+
+        domains = [UNIT, Domain(1e7, 1e7 + 50.0), Domain(-1e9, -1e9 + 3.0), Domain(1e12, 1e12 + 400.0)]
+        reused = 0
+        for n in range(2, 31):
+            make = grid_cohort_with_gaps if n % 3 == 0 else grid_cohort
+            cohort = make(rng, n=n, n_bins=int(rng.integers(4, 16)), domain=domains[n % 4])
+            if n % 5 == 0:
+                cohort = Cohort(cohort.members + cohort.members[:1])
+            spec = LossSpec(LossKind.L2, int(rng.integers(15, 60)))
+            j = cohort.shared_cutoffs.size
+            fixed = rng.choice(j, size=n % 3, replace=False)
+            scan = _SelectionScan(cohort, spec, np.arange(j, dtype=np.intp))
+            while scan.sel.size > fixed.size:
+                moves = np.nonzero(~np.isin(scan.sel, fixed))[0]
+                losses = scan.removal_losses(moves)
+                fresh = _SelectionScan(cohort, spec, scan.sel).removal_losses(moves)
+                assert np.array_equal(losses, fresh)
+                reused += scan.reuse[0]
+                scan.remove(int(moves[np.argmin(losses)] if n % 2 else rng.choice(moves)))
+        assert reused > 0
+
+    def test_l2_scan_mixes_insertions_and_removals(self, rng):
+        from optithresh.optimizers import _SelectionScan
+
+        for trial in range(12):
+            make = grid_cohort_with_gaps if trial % 2 else grid_cohort
+            cohort = make(rng, n=int(rng.integers(2, 12)), n_bins=int(rng.integers(5, 16)))
+            spec = LossSpec(LossKind.L2, int(rng.integers(15, 60)))
+            j = cohort.shared_cutoffs.size
+            scan = _SelectionScan(cohort, spec, np.sort(rng.choice(j, size=j // 2, replace=False)))
+            for _ in range(2 * j):
+                positions = np.arange(scan.sel.size)
+                if positions.size:
+                    fresh = _SelectionScan(cohort, spec, scan.sel).removal_losses(positions)
+                    assert np.array_equal(scan.removal_losses(positions), fresh)
+                if scan.sel.size == j or (positions.size and rng.random() < 0.5):
+                    scan.remove(int(rng.choice(positions)))
+                else:
+                    scan.insert(int(rng.choice(np.setdiff1d(np.arange(j), scan.sel))))
+
+    def test_sa_l2_kept_update_rescored_where_it_cancels(self, rng, monkeypatch):
+        # Two members differ only inside the bins around one cutoff and share
+        # those bins' total mass, so removing that cutoff makes their grids
+        # identical.  Its update, kept from the first step, cancels to about
+        # zero, and the scan rescores it from the new grids.
+        from optithresh import optimizers
+        from optithresh.optimizers import _SelectionScan
+
+        cuts = np.linspace(0.0, 1.0, 13)[1:-1]
+        counts = rng.integers(1, 10, size=(4, 12))
+        counts[0, 7] = 4
+        counts[1] = counts[0]
+        counts[1, [6, 7]] += (2, -2)
+        counts[:, -1] = 128 - counts[:, :-1].sum(axis=1)  # dyadic masses: exact sums
+        cohort = Cohort([Histogram(UNIT, cuts, c / 128) for c in counts])
+        spec = LossSpec(LossKind.L2, 80)
+        scan = _SelectionScan(cohort, spec, np.arange(cuts.size, dtype=np.intp))
+        positions = np.arange(cuts.size)
+        scan.removal_losses(positions)
+        scan.remove(0)
+        assert (6, 7, 8) in {key[:3] for key in scan._updates}  # the anchors around cutoff 6
+        calls = []
+        real_pdist = optimizers._pdist
+        monkeypatch.setattr(optimizers, "_pdist", lambda *a: calls.append(a) or real_pdist(*a))
+        losses = scan.removal_losses(positions[:-1])
+        monkeypatch.undo()
+        assert len(calls) == 1 and np.array_equal(calls[0][0][0], calls[0][0][1])
+        assert np.array_equal(losses, _SelectionScan(cohort, spec, scan.sel).removal_losses(positions[:-1]))
+
+    def test_greedy_logs_each_step(self, rng, caplog):
+        # One DEBUG line per step with the candidates scored and the updates
+        # reused and recomputed; the result does not depend on the logging.
+        cohort = grid_cohort(rng, n=6, n_bins=12)
+        spec = LossSpec(LossKind.L2, 40)
+        quiet = stepwise_aggregation(cohort, 2, spec)
+        with caplog.at_level("DEBUG", logger="optithresh.optimizers"):
+            res = stepwise_aggregation(cohort, 2, spec)
+            paa = paa_baseline(cohort, 2)
+        assert (res.thresholds, res.loss, res.trace) == (quiet.thresholds, quiet.loss, quiet.trace)
+        lines = [r.getMessage() for r in caplog.records if r.name == "optithresh.optimizers"]
+        assert len(lines) == len(res.trace) + len(paa.trace)
+        counts = [tuple(int(w) for w in line.replace(",", "").split() if w.isdigit()) for line in lines]
+        sa_counts, paa_counts = counts[: len(res.trace)], counts[len(res.trace):]
+        steps = [(step, 12 - step, 12 - step) for step in range(1, 10)]
+        assert [c[:3] for c in sa_counts] == [c[:3] for c in paa_counts] == steps
+        # SA scores a candidate from one update, or from none where its
+        # removal changes no grid point; PAA from the terms of the columns
+        # on both sides of each candidate.
+        assert all(reused + recomputed <= scored for _, _, scored, reused, recomputed in sa_counts)
+        assert all(reused + recomputed == scored + 1 for _, _, scored, reused, recomputed in paa_counts)
+        assert sum(c[3] for c in sa_counts) > 0 and sum(c[3] for c in paa_counts) > 0
+
     def test_sa_l2_matches_from_scratch_greedy(self, rng):
         # SA under L2 takes the same steps as a greedy loop that scores every
         # removal with the public loss and keeps the first best within TIE_TOL.
