@@ -20,9 +20,9 @@ from pathlib import Path
 import click
 
 from .evaluation import compare_thresholds, tir_summary
-from .histograms import Domain, ThresholdSet, linearized_quantile_grid, probability_grid
+from .histograms import Domain, ThresholdSet, probability_grid
 from .ingestion import CsvSchema, InclusionPolicy, _reprs, _write_float_rows, empirical_histogram, read_cgm_csv
-from .losses import DEFAULT_GRID_SIZE, Cohort, LossKind, LossSpec
+from .losses import DEFAULT_GRID_SIZE, Cohort, LossKind, LossSpec, _member_grids
 from .optimizers import (
     DEConfig,
     Method,
@@ -343,8 +343,10 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
     base = cohort.quantile_matrix(grid)
     blocks = (  # one member at a time: the file is never held as rows
         (member.subject_id if member.subject_id is not None else str(i),
-         zip(u, _reprs(base[i]), _reprs(linearized_quantile_grid(member, result.thresholds, grid).values)))
-        for i, member in enumerate(cohort.members)
+         zip(u, _reprs(base[i]), _reprs(linearized)))
+        for i, (member, linearized) in enumerate(
+            zip(cohort.members, _member_grids(cohort, result.thresholds.values, grid))
+        )
     )
     _write_float_rows(out_path / "linearization.csv", ["subject_id", "u", "q", "q_linearized"], blocks)
     click.echo(f"wrote {out_path / 'result.json'}")

@@ -68,9 +68,6 @@ _COMBO_CHUNK = 1 << 14
 #: Pair values per block of candidates in the L2 removal scan (a 128 KiB table).
 _PAIR_BLOCK = 1 << 14
 
-#: Grid values per block of candidates scored by the kernel (2 MiB of grids).
-_GRID_BLOCK = 1 << 18
-
 #: The L2 removal scan recomputes a candidate's distances directly when one of
 #: them falls below this fraction of the terms that cancel in its update.
 _CANCEL_RTOL = 1e-8
@@ -229,11 +226,7 @@ class _SelectionScan:
             cols = _selection_cols(self.cutoffs.size, sel)
             totals = self.costs(cols[:, :-1], cols[:, 1:]).sum(axis=1)
             return _losses(self.cohort, totals, self.spec)
-        t = self.cutoffs[sel]
-        block = max(1, _GRID_BLOCK // (self.cohort.n * self.spec.grid_size))
-        return np.concatenate(
-            [_loss_batch(self.cohort, t[i:i + block], self.spec) for i in range(0, len(t), block)]
-        )
+        return _loss_batch(self.cohort, self.cutoffs[sel], self.spec)
 
     def insertion_losses(self, candidates: np.ndarray) -> np.ndarray:
         """Losses after inserting each cutoff index of ``candidates`` into the selection."""
@@ -634,6 +627,25 @@ def _space_by_ulps(items: list, fixed_set: set, a: float, b: float) -> np.ndarra
     return np.sort(free + sorted(fixed_set))
 
 
+def _repair_rows(free: np.ndarray, fixed: tuple, domain: Domain, bump: float) -> np.ndarray:
+    """``_repair_candidate`` of every row of the (B, k) array ``free``, with one sort and merge.
+
+    A row whose clipped values, merged with the fixed thresholds, are strictly
+    increasing inside (a, b) needs no repair and is that merge.  Only rows
+    with a duplicate, a value on a fixed threshold or one not strictly inside
+    (a, b) go through ``_repair_candidate``.
+    """
+    a, b = domain.lower, domain.upper
+    # np.maximum and np.minimum pick as max() and min() do, signed zeros included.
+    clipped = np.minimum(np.maximum(free, a + bump), b - bump)
+    pinned = np.broadcast_to(np.asarray(fixed, dtype=np.float64), (len(free), len(fixed)))
+    merged = np.sort(np.concatenate((clipped, pinned), axis=1), axis=1)
+    bad = np.any(np.diff(merged, axis=1) <= 0, axis=1) | (merged[:, 0] <= a) | (merged[:, -1] >= b)
+    for row in np.nonzero(bad)[0].tolist():
+        merged[row] = _repair_candidate(free[row], fixed, domain, bump)
+    return merged
+
+
 class _ExactScores:
     """DE losses evaluated exactly for every candidate."""
 
@@ -751,7 +763,7 @@ def differential_evolution(
             raise ValueError(f"fixed threshold {value} outside the open domain ({a}, {b})")
 
     def repaired(population: np.ndarray) -> np.ndarray:
-        return np.vstack([_repair_candidate(row, fixed, domain, margin) for row in population])
+        return _repair_rows(population, fixed, domain, margin)
 
     scores = (_SettledL1Scores if spec.kind is LossKind.L1 else _ExactScores)(
         cohort, spec, repaired
@@ -769,19 +781,25 @@ def differential_evolution(
     evaluations = n_pop
     trace = [(0, float(resolved.min()))]
 
-    generations = 0
+    members = np.arange(n_pop)
+    choices = np.empty((n_pop, 3), dtype=np.intp)
+    draws = np.empty((n_pop, k_free))
+    forced = np.empty(n_pop, dtype=np.intp)
+    stop = "max_generations"
     for generation in range(1, config.max_generations + 1):
-        generations = generation
         factor = rng.uniform(*config.mutation_range)  # dithered once per generation
-        trials = np.empty_like(population)
+        # Each trial's draws, in the order of a loop over trials: three distinct
+        # donors other than the target, crossover draws and a forced dimension.
         for i in range(n_pop):
-            choices = rng.choice(n_pop - 1, size=3, replace=False)
-            choices[choices >= i] += 1
-            r1, r2, r3 = choices
-            mutant = population[r1] + factor * (population[r2] - population[r3])
-            cross = rng.random(k_free) < config.crossover_prob
-            cross[rng.integers(k_free)] = True
-            trials[i] = np.where(cross, mutant, population[i])
+            choices[i] = rng.choice(n_pop - 1, size=3, replace=False)
+            draws[i] = rng.random(k_free)
+            forced[i] = rng.integers(k_free)
+        choices += choices >= members[:, None]
+        r1, r2, r3 = choices.T
+        mutants = population[r1] + factor * (population[r2] - population[r3])
+        cross = draws < config.crossover_prob
+        cross[members, forced] = True
+        trials = np.where(cross, mutants, population)
         np.clip(trials, lower, upper, out=trials)
         trial_losses = scores.score(trials)
         evaluations += n_pop
@@ -790,13 +808,23 @@ def differential_evolution(
         losses[better] = trial_losses[better]
         resolved = scores.resolved(population, losses)
         trace.append((generation, float(resolved.min())))
+        log.debug(
+            "de generation %d: %d of %d trials accepted, best loss %r",
+            generation, np.count_nonzero(better), n_pop, trace[-1][1],
+        )
         if float(resolved.std()) <= config.convergence_tol * abs(float(resolved.mean())):
+            stop = "converged"
             break
 
     values = _repair_candidate(population[int(np.argmin(resolved))], fixed, domain, margin)
-    return _certify(
+    result = _certify(
         cohort, values, fixed, Method.DIFFERENTIAL_EVOLUTION, spec, evaluations, tuple(trace)
     )
+    log.info(
+        "differential evolution: %d generations, stopped by %s, %d evaluations",
+        len(trace) - 1, stop, result.evaluations,
+    )
+    return result
 
 
 def paa_baseline(cohort: Cohort, k: int, fixed: FixedLike = None) -> OptimizationResult:

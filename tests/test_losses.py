@@ -249,6 +249,118 @@ class TestL1Scorer:
         self.check(samples, threshold_rows(rng, domain, 20, 3), 200)
 
 
+def blocked_cohorts(rng, n):
+    """Sample, shared-cutoff and unshared-histogram cohorts of n members on [40, 400]."""
+    domain = Domain(40.0, 400.0)
+    cuts = np.arange(45.0, 400.0, 5.0)
+    samples = [EmpiricalSample(domain, rng.uniform(40, 400, size=int(rng.integers(20, 300))))
+               for _ in range(n)]
+    shared = [Histogram(domain, cuts, rng.dirichlet(np.ones(cuts.size + 1))) for _ in range(n)]
+    unshared = [random_histogram(rng, n_bins=int(rng.integers(4, 30)), domain=domain)
+                for _ in range(n)]
+    return {"sample": Cohort(samples), "shared": Cohort(shared), "unshared": Cohort(unshared)}
+
+
+class TestScratchBlocks:
+    """Batched scorers work in blocks under ``losses._SCRATCH_BYTES`` with the bits of one batch."""
+
+    GRID = 200
+
+    @staticmethod
+    def budgets(row_bytes):
+        """A single batch, blocks of two rows and blocks of three rows."""
+        return {"single": 1 << 60, "two rows": 1, "three rows": 3 * row_bytes}
+
+    def test_blocks_hold_two_rows_and_absorb_a_one_row_remainder(self, monkeypatch):
+        from optithresh import losses
+
+        monkeypatch.setattr(losses, "_SCRATCH_BYTES", 300)
+
+        def sizes(n_rows, row_bytes):
+            return [block.stop - block.start for block in losses._blocks(n_rows, row_bytes)]
+
+        assert sizes(10, 100) == [3, 3, 4]
+        assert sizes(9, 100) == [3, 3, 3]
+        assert sizes(7, 1000) == [2, 2, 3]
+        assert sizes(1, 1000) == [1]
+        assert sizes(0, 1000) == []
+
+    @pytest.mark.parametrize("n", [60, 64])
+    def test_loss_batch_and_scorer_match_one_batch(self, rng, monkeypatch, n):
+        from optithresh import losses
+
+        for name, cohort in blocked_cohorts(rng, n).items():
+            for k in (1, 3):
+                # Odd counts leave a one-row remainder after blocks of two or three.
+                t = threshold_rows(rng, cohort.domain, 13, k)
+                anchors = losses._anchor_rows(cohort, t)
+                scorer = cohort._l1_scorer(self.GRID)
+                results = {}
+                row_bytes = n * (self.GRID + k + 2) * losses._VALUE_BYTES
+                for label, budget in self.budgets(row_bytes).items():
+                    monkeypatch.setattr(losses, "_SCRATCH_BYTES", budget)
+                    results[label] = [
+                        losses._loss_batch(cohort, t, LossSpec(kind, self.GRID))
+                        for kind in (LossKind.L1, LossKind.L2)
+                    ]
+                    results[label].append(scorer.batch_loss(*anchors))
+                for label in ("two rows", "three rows"):
+                    for got, want in zip(results[label], results["single"]):
+                        assert np.array_equal(got, want), (name, k, label)
+
+    def test_segment_table_matches_one_batch(self, rng, monkeypatch):
+        from optithresh import losses
+
+        cohort = blocked_cohorts(rng, 60)["shared"]
+        p, v = losses._anchor_rows(cohort, cohort.shared_cutoffs[None, :])
+        a, b = np.triu_indices(p.shape[2], k=1)
+        pick = rng.permutation(a.size)[:301]
+        entries = {}
+        for label, budget in self.budgets(cohort.n * losses._SEGMENT_BYTES).items():
+            monkeypatch.setattr(losses, "_SCRATCH_BYTES", budget)
+            table = cohort._l1_scorer(self.GRID).segment_table(p[0], v[0])
+            entries[label] = table(a[pick], b[pick])
+        assert np.array_equal(entries["two rows"], entries["single"])
+        assert np.array_equal(entries["three rows"], entries["single"])
+
+    def test_member_grids_match_the_kernel(self, rng, monkeypatch):
+        from optithresh import losses
+
+        for cohort in blocked_cohorts(rng, 61).values():
+            t = threshold_rows(rng, cohort.domain, 1, 3)
+            whole = losses._linearized_rows(*losses._anchor_rows(cohort, t), self.GRID)[0]
+            monkeypatch.setattr(losses, "_SCRATCH_BYTES", 1)
+            blocked = np.array(list(losses._member_grids(cohort, t[0], self.GRID)))
+            assert np.array_equal(blocked, whole)
+
+    def test_peak_memory_does_not_grow_with_the_batch(self, rng):
+        import tracemalloc
+
+        from optithresh import losses
+
+        cohort = blocked_cohorts(rng, 200)["sample"]
+        scorer = cohort._l1_scorer(self.GRID)
+        peaks = {}
+        for n_cand in (45, 90):
+            t = threshold_rows(rng, cohort.domain, n_cand, 3)
+            anchors = losses._anchor_rows(cohort, t)
+            for name, score in (
+                ("_loss_batch", lambda: losses._loss_batch(cohort, t, LossSpec(LossKind.L1, self.GRID))),
+                ("batch_loss", lambda: scorer.batch_loss(*anchors)),
+            ):
+                tracemalloc.start()
+                try:
+                    score()
+                    peaks[name, n_cand] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        # One batch of 45 took 97 MB and 12.7 MB; blocks of two or three rows
+        # take at most three rows' scratch, whatever the batch size.
+        mb = 1 << 20
+        assert peaks["_loss_batch", 45] < 10 * mb and peaks["_loss_batch", 90] < 10 * mb, peaks
+        assert peaks["batch_loss", 45] < 2 * mb and peaks["batch_loss", 90] < 2 * mb, peaks
+
+
 class TestLossL2:
     def test_zero_at_full_cutoffs(self, rng):
         cuts = np.array([0.25, 0.5, 0.75])

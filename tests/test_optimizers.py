@@ -563,6 +563,122 @@ class TestDifferentialEvolution:
         assert res.loss == evaluate_loss(cohort, res.thresholds, spec)
 
 
+def reference_de(cohort, k, spec, fixed, config):
+    """Differential evolution with a loop over trials and a repair per candidate.
+
+    The solver as it was before trials were built for the whole population at
+    once; the same draws, scores and repair rule.
+    """
+    from optithresh import optimizers as opt
+
+    fixed = opt._normalize_fixed(fixed)
+    k_free = k - len(fixed)
+    domain = cohort.domain
+    a, b = domain.lower, domain.upper
+    span = b - a
+    margin = 1e-9 * span
+    lower, upper = a + margin, b - margin
+
+    def repaired(population):
+        return np.vstack([opt._repair_candidate(row, fixed, domain, margin) for row in population])
+
+    scores = (opt._SettledL1Scores if spec.kind is LossKind.L1 else opt._ExactScores)(
+        cohort, spec, repaired
+    )
+    rng = np.random.default_rng(config.seed)
+    n_pop = config.population_size_per_dim * k_free
+    population = np.empty((n_pop, k_free))
+    for dim in range(k_free):
+        strata = (rng.permutation(n_pop) + rng.random(n_pop)) / n_pop
+        population[:, dim] = a + strata * span
+    np.clip(population, lower, upper, out=population)
+    losses = scores.score(population)
+    resolved = scores.resolved(population, losses)
+    evaluations = n_pop
+    trace = [(0, float(resolved.min()))]
+    for generation in range(1, config.max_generations + 1):
+        factor = rng.uniform(*config.mutation_range)
+        trials = np.empty_like(population)
+        for i in range(n_pop):
+            choices = rng.choice(n_pop - 1, size=3, replace=False)
+            choices[choices >= i] += 1
+            r1, r2, r3 = choices
+            mutant = population[r1] + factor * (population[r2] - population[r3])
+            cross = rng.random(k_free) < config.crossover_prob
+            cross[rng.integers(k_free)] = True
+            trials[i] = np.where(cross, mutant, population[i])
+        np.clip(trials, lower, upper, out=trials)
+        trial_losses = scores.score(trials)
+        evaluations += n_pop
+        better = scores.no_worse(trials, trial_losses, population, losses)
+        population[better] = trials[better]
+        losses[better] = trial_losses[better]
+        resolved = scores.resolved(population, losses)
+        trace.append((generation, float(resolved.min())))
+        if float(resolved.std()) <= config.convergence_tol * abs(float(resolved.mean())):
+            break
+    values = opt._repair_candidate(population[int(np.argmin(resolved))], fixed, domain, margin)
+    return opt._certify(
+        cohort, values, fixed, Method.DIFFERENTIAL_EVOLUTION, spec, evaluations, tuple(trace)
+    )
+
+
+class TestDifferentialEvolutionReference:
+    """DE builds and repairs trials for the whole population, and its kernel
+    scores in blocks; neither may change a bit of the result."""
+
+    @pytest.mark.parametrize("kind", [LossKind.L1, LossKind.L2])
+    def test_matches_a_loop_over_trials(self, rng, monkeypatch, kind):
+        from optithresh import losses
+        from optithresh.histograms import EmpiricalSample
+
+        domain = Domain(40.0, 400.0)
+        samples = Cohort(
+            [EmpiricalSample(domain, np.round(rng.uniform(40, 400, size=120))) for _ in range(61)]
+        )
+        cases = [
+            (samples, 3, ()),
+            (samples, 3, (70.0, 181.0)),
+            (grid_cohort(rng, n=9, n_bins=12), 2, ()),
+            (grid_cohort(rng, n=8, n_bins=10), 3, (0.5,)),
+            # Far from zero the margin is below one ulp, so clipped values land
+            # on the domain's edges and rows take the full repair.
+            (grid_cohort(rng, n=5, n_bins=9, domain=Domain(1e12, 1e12 + 1.0)), 2, ()),
+        ]
+        config = DEConfig(seed=11, max_generations=25, convergence_tol=1e-3)
+        for cohort, k, fixed in cases:
+            spec = LossSpec(kind, 60)
+            with monkeypatch.context() as patch:
+                patch.setattr(losses, "_SCRATCH_BYTES", 1 << 60)
+                want = reference_de(cohort, k, spec, fixed, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(losses, "_SCRATCH_BYTES", 1)
+                got = differential_evolution(cohort, k, spec, fixed, config)
+            assert got.thresholds == want.thresholds
+            assert got.loss == want.loss
+            assert got.trace == want.trace
+            assert got.evaluations == want.evaluations
+
+    @pytest.mark.parametrize(
+        "tol, generations, stop", [(0.0, 4, "max_generations"), (10.0, 50, "converged")]
+    )
+    def test_logs_each_generation_and_the_stop(self, rng, caplog, tol, generations, stop):
+        cohort = grid_cohort(rng, n=4, n_bins=8)
+        config = DEConfig(seed=2, max_generations=generations, convergence_tol=tol)
+        with caplog.at_level("DEBUG", logger="optithresh.optimizers"):
+            res = differential_evolution(cohort, 2, LossSpec(LossKind.L1, 30), config=config)
+        records = [r for r in caplog.records if r.name == "optithresh.optimizers"]
+        debug = [r.getMessage() for r in records if r.levelname == "DEBUG"]
+        info = [r.getMessage() for r in records if r.levelname == "INFO"]
+        ran = len(res.trace) - 1
+        assert ran == (generations if stop == "max_generations" else 1)
+        assert [line.split(":")[0] for line in debug] == [f"de generation {g}" for g in range(1, ran + 1)]
+        assert info == [
+            f"differential evolution: {ran} generations, stopped by {stop}, "
+            f"{res.evaluations} evaluations"
+        ]
+
+
 def legacy_repair(free, fixed, lower, upper, bump):
     """The bump-only repair: clip, sort, push duplicates up by ``bump``."""
     fixed_set = set(fixed)
@@ -643,6 +759,27 @@ class TestRepairCandidate:
         )
         if legacy_valid:
             assert out.tolist() == legacy
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(repair_inputs(), st.integers(0, 2**32 - 1))
+    def test_rows_repaired_together_match_one_by_one(self, args, seed):
+        from optithresh.optimizers import _repair_candidate, _repair_rows
+
+        domain, fixed, free, bump = args
+        rng = np.random.default_rng(seed)
+        # The drawn candidate, its values shuffled and repeated, and draws from
+        # the whole box: rows that need repair mixed with rows that do not.
+        rows = np.vstack([
+            free,
+            rng.permutation(free),
+            rng.choice(free, size=free.size),
+            domain.lower + rng.random((3, free.size)) * (domain.upper - domain.lower),
+        ])
+        together = _repair_rows(rows, fixed, domain, bump)
+        for row, repaired in zip(rows, together):
+            # Bytes, so that a signed zero must match too.
+            assert repaired.tobytes() == _repair_candidate(row, fixed, domain, bump).tobytes()
 
 
 class TestPaa:
