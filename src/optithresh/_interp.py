@@ -66,7 +66,7 @@ def interp_rows(anchors_p: np.ndarray, anchors_v: np.ndarray, queries: np.ndarra
             with first element 0 and last element 1.
         anchors_v: curve values at the anchors, same shape, non-decreasing per row.
         queries: probabilities strictly inside (0, 1], shape (Q,), shared by
-            all rows; sorted ascending when there is more than one row.
+            all rows and sorted ascending.
 
     Returns:
         Array of shape (R, Q) with the evaluated values.
@@ -82,8 +82,5 @@ def interp_rows(anchors_p: np.ndarray, anchors_v: np.ndarray, queries: np.ndarra
     if q.ndim != 1:
         raise ValueError(f"queries must be one-dimensional, got shape {q.shape}")
 
-    if rows == 1:
-        pos = np.clip(np.searchsorted(p[0], q, side="left"), 1, n_anchors - 1)
-    else:
-        pos = _bracket_shared_sorted(p, q)
+    pos = _bracket_shared_sorted(p, q)
     return _interpolate(p.ravel(), v.ravel(), pos, np.tile(q, rows)).reshape(rows, q.size)

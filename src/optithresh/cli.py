@@ -245,7 +245,7 @@ def main(threads):
     if threads is not None and threads < 1:
         _fail(EXIT_CONFIG, "--threads must be positive")
     if threads:
-        log.info("--threads is reserved and has no effect; every run is single-threaded")
+        log.info("--threads has no effect; OpenBLAS may still start threads unless OPENBLAS_NUM_THREADS=1")
 
 
 @main.command("optimize")

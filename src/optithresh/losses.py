@@ -253,9 +253,9 @@ _SCRATCH_BYTES = 1 << 19
 #: linearized and reduced (the interpolation's brackets and gathers, the grids
 #: and their errors), and per member segment that ``_L1Scorer`` scores (its
 #: anchors' extended-precision sums and the cost's temporaries).  ``tracemalloc``
-#: measures at most 57 and 361 bytes on 200-member cohorts at M=200.
+#: measures at most 57 and 440 bytes on 200-member cohorts at M=200.
 _VALUE_BYTES = 64
-_SEGMENT_BYTES = 400
+_SEGMENT_BYTES = 448
 
 
 def _blocks(n_rows: int, row_bytes: int) -> list:
@@ -480,47 +480,20 @@ class _L1Scorer:
         sum((d + b w - q)^2) = s_qq + d (c d - 2 s_q) + b (b s_ww + 2 (d s_w - s_wq)).
         Every term vanishes for a segment without grid points.
         """
-        # Evaluated in place, operation by operation as the formula reads, so
-        # that a block holds few temporaries and every value keeps its bits.
         count = end.idx - start.idx
         c = count.astype(np.longdouble)
         e, d = start.first, start.centred
         h = np.longdouble(1.0) / self._width
         # h times sum(j) over the j = 0 .. c-1 grid steps past the first point.
-        hj = c - 1
-        hj *= c
-        hj *= h / 2
-        s_w = c * e
-        s_w += hj
-        s_ww = s_w + hj
-        s_ww *= e
-        tail = c * 2
-        tail -= 1
-        tail *= hj
-        tail *= h / 3
-        s_ww += tail
+        hj = c * (c - 1) * (h / 2)
+        s_w = c * e + hj
+        s_ww = e * (s_w + hj) + hj * (2 * c - 1) * (h / 3)
         s_q = end.s_q - start.s_q
-        s_wq = np.subtract(end.s_uq, start.s_uq, out=hj)
-        s_wq -= np.multiply(start.p, s_q, out=tail)
-        has_points = count > 0
-        slope = np.subtract(end.v, start.v, out=tail)
-        np.divide(slope, end.p - start.p, out=slope, where=has_points)
-        slope[~has_points] = 0.0
-        # cost = s_qq + d (c d - 2 s_q) + slope (slope s_ww + 2 (d s_w - s_wq))
-        c *= d
-        s_q *= 2
-        c -= s_q
-        c *= d
-        s_w *= d
-        s_w -= s_wq
-        s_w *= 2
-        s_ww *= slope
-        s_ww += s_w
-        s_ww *= slope
-        cost = np.subtract(end.s_qq, start.s_qq, out=s_q)
-        cost += c
-        cost += s_ww
-        return cost
+        s_qq = end.s_qq - start.s_qq
+        s_wq = end.s_uq - start.s_uq - start.p * s_q
+        rise = end.v - start.v
+        slope = np.divide(rise, end.p - start.p, out=np.zeros_like(rise), where=count > 0)
+        return s_qq + d * (c * d - 2 * s_q) + slope * (slope * s_ww + 2 * (d * s_w - s_wq))
 
     def batch_loss(self, p_full: np.ndarray, v_full: np.ndarray) -> np.ndarray:
         """L1 loss per candidate from (B, n, K+2) anchors as built by ``_anchor_rows``.

@@ -25,7 +25,9 @@ from .losses import (
     Cohort,
     LossKind,
     LossSpec,
+    _VALUE_BYTES,
     _anchor_rows,
+    _blocks,
     _linearized_rows,
     _loss_batch,
     _loss_terms,
@@ -61,12 +63,6 @@ DEFAULT_EXHAUSTIVE_BUDGET = 2_000_000
 
 #: DE settles closed-form L1 scores this close (relative) with exact losses.
 _SETTLE_RTOL = 1e-10
-
-#: Combinations scored per vectorised step of the L1 exhaustive search.
-_COMBO_CHUNK = 1 << 14
-
-#: Pair values per block of candidates in the L2 removal scan (a 128 KiB table).
-_PAIR_BLOCK = 1 << 14
 
 #: The L2 removal scan recomputes a candidate's distances directly when one of
 #: them falls below this fraction of the terms that cancel in its update.
@@ -278,11 +274,11 @@ class _SelectionScan:
         reused = sum(key in kept for key in keys)
         self.reuse = (reused, len(keys) - reused)
         changes = centred = None
-        block = max(1, _PAIR_BLOCK // self.terms.size)
-        for start in range(0, todo.size, block):
-            rows = todo[start:start + block]
+        # A row is the block's updated distances plus the temporary of ``_losses``.
+        for block in _blocks(todo.size, 2 * self.terms.nbytes):
+            rows = todo[block]
             sq = np.empty((rows.size, self.terms.size))
-            for row, (c, key) in enumerate(zip(rows.tolist(), keys[start:start + block])):
+            for row, (c, key) in enumerate(zip(rows.tolist(), keys[block])):
                 k, span = int(pos[c]) + 1, slice(key[3], key[4])
                 update = kept.get(key)
                 if update is None:
@@ -522,25 +518,23 @@ def exhaustive_search(
         )
     combos = itertools.combinations(free.tolist(), n_free)
     scan = _SelectionScan(cohort, spec, fixed_pos)
-    best_sel = _first_best(combos, n_free, fixed_pos, scan.selection_losses)
+    best_sel = _first_best(combos, n_combos, n_free, fixed_pos, scan.selection_losses)
     return _certify(cohort, cutoffs[best_sel], fixed, Method.EXHAUSTIVE, spec, n_combos, None)
 
 
-def _first_best(combos, n_free: int, fixed_pos: np.ndarray, score) -> np.ndarray:
-    """First selection of minimal score, scoring the combinations chunk by chunk."""
+def _first_best(combos, n_combos: int, n_free: int, fixed_pos: np.ndarray, score) -> np.ndarray:
+    """First selection of minimal score among ``n_combos`` combinations, scored in blocks."""
     best_sel = None
     best_loss = math.inf
-    while True:
-        chunk = list(itertools.islice(combos, _COMBO_CHUNK))
-        if not chunk:
-            return best_sel
-        free = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_free)
-        fixed = np.broadcast_to(fixed_pos, (len(chunk), fixed_pos.size))
+    for block in _blocks(n_combos, (n_free + fixed_pos.size + 2) * _VALUE_BYTES):
+        free = np.array(list(itertools.islice(combos, block.stop - block.start)), dtype=np.intp)
+        fixed = np.broadcast_to(fixed_pos, (len(free), fixed_pos.size))
         sel = np.sort(np.concatenate((free, fixed), axis=1), axis=1)
         losses = score(sel)
         best = int(np.argmin(losses))
         if losses[best] < best_loss:
             best_sel, best_loss = sel[best], losses[best]
+    return best_sel
 
 
 def stepwise_aggregation(
@@ -754,8 +748,6 @@ def differential_evolution(
     domain = cohort.domain
     a, b = domain.lower, domain.upper
     span = b - a
-    if span <= 0:
-        raise ValueError("degenerate domain")
     margin = 1e-9 * span
     lower, upper = a + margin, b - margin
     for value in fixed:

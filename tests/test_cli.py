@@ -70,14 +70,17 @@ class TestOptimizeCommand:
         assert lin[0] == "subject_id,u,q,q_linearized"
         assert len(lin) == 1 + 6 * 60
 
-    def test_determinism_bytes(self, runner, tmp_path):
+    def test_determinism_bytes(self, runner, tmp_path, caplog):
         cfg = self.config(tmp_path, method="de", k=2)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         r1 = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out1)])
+        caplog.set_level(logging.INFO, logger="optithresh.cli")
         r2 = runner.invoke(
             main, ["--threads", "4", "optimize", "--config", cfg, "--out", str(out2)]
         )
         assert r1.exit_code == 0 and r2.exit_code == 0
+        notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("--threads")]
+        assert notes == ["--threads has no effect; OpenBLAS may still start threads unless OPENBLAS_NUM_THREADS=1"]
         assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
         assert (out1 / "tir_summary.csv").read_bytes() == (out2 / "tir_summary.csv").read_bytes()
         assert (out1 / "linearization.csv").read_bytes() == (out2 / "linearization.csv").read_bytes()

@@ -58,10 +58,12 @@ class TestInterpolate:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = (qq - flat_p[hi - 1]) / (flat_p[hi] - flat_p[hi - 1])
             nan_before_clip += int(np.sum(np.isnan(ratio)))
-            if rows > 1:
-                got = interp_rows(p, v, q)
-                pos = _bracket_shared_sorted(p, q)
-                assert same_bits(got.ravel(), expression_interpolate(flat_p, flat_v, pos, qq))
+            got = interp_rows(p, v, q)
+            pos = _bracket_shared_sorted(p, q)
+            assert same_bits(got.ravel(), expression_interpolate(flat_p, flat_v, pos, qq))
+            # The brackets of an exact per-row search, also for a single row.
+            search = np.clip([np.searchsorted(row, q, side="left") for row in p], 1, n_anchors - 1)
+            assert np.array_equal(pos, (search + np.arange(rows)[:, None] * n_anchors).ravel())
         assert pinned > 0 and nan_before_clip > 0
 
     def test_leaves_inputs_and_broadcast_queries_alone(self, rng):

@@ -183,8 +183,80 @@ def threshold_rows(rng, domain, n_rows, k, pool=None):
     return np.array(rows)
 
 
+def inplace_segment_costs(scorer, start, end):
+    """``_L1Scorer.segment_costs`` evaluated in place, operation by operation."""
+    count = end.idx - start.idx
+    c = count.astype(np.longdouble)
+    e, d = start.first, start.centred
+    h = np.longdouble(1.0) / scorer._width
+    hj = c - 1
+    hj *= c
+    hj *= h / 2
+    s_w = c * e
+    s_w += hj
+    s_ww = s_w + hj
+    s_ww *= e
+    tail = c * 2
+    tail -= 1
+    tail *= hj
+    tail *= h / 3
+    s_ww += tail
+    s_q = end.s_q - start.s_q
+    s_wq = np.subtract(end.s_uq, start.s_uq, out=hj)
+    s_wq -= np.multiply(start.p, s_q, out=tail)
+    has_points = count > 0
+    slope = np.subtract(end.v, start.v, out=tail)
+    np.divide(slope, end.p - start.p, out=slope, where=has_points)
+    slope[~has_points] = 0.0
+    c *= d
+    s_q *= 2
+    c -= s_q
+    c *= d
+    s_w *= d
+    s_w -= s_wq
+    s_w *= 2
+    s_ww *= slope
+    s_ww += s_w
+    s_ww *= slope
+    cost = np.subtract(end.s_qq, start.s_qq, out=s_q)
+    cost += c
+    cost += s_ww
+    return cost
+
+
 class TestL1Scorer:
     """The search scorer against ``_loss_batch``, which reported losses come from."""
+
+    def test_segment_costs_bitwise_the_in_place_form(self, rng):
+        from optithresh.losses import _anchor_rows
+
+        far = Domain(1e12, 1e12 + 400.0)
+        cuts = np.linspace(0.0, 1.0, 11)[1:-1]
+        sparse = []
+        for _ in range(6):
+            masses = rng.dirichlet(np.ones(10))
+            masses[[0, 1, 8, 9]] = 0.0  # tied anchors at probabilities 0 and 1
+            sparse.append(Histogram(UNIT, cuts, masses / masses.sum()))
+        cases = [
+            (Cohort([random_sample(rng, n=int(rng.integers(1, 40))) for _ in range(7)]), UNIT),
+            (Cohort(sparse), UNIT),
+            (Cohort([random_sample(rng, n=60, domain=far) for _ in range(5)]), far),
+            (Cohort([random_histogram(rng, n_bins=9, domain=far) for _ in range(5)]), far),
+        ]
+        empty = tied = 0
+        for cohort, domain in cases:
+            for grid_size in (3, 40):
+                scorer = cohort._l1_scorer(grid_size)
+                t = threshold_rows(rng, domain, 25, 4)
+                p, v = (np.moveaxis(x, -1, 0).copy() for x in _anchor_rows(cohort, t))
+                a = scorer.anchors(np.arange(cohort.n), p, v)
+                start, end = a[:-1], a[1:]
+                got = scorer.segment_costs(start, end)
+                want = inplace_segment_costs(scorer, start, end)
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+                empty += int(np.sum(end.idx == start.idx))
+                tied += int(np.sum(end.p == start.p))
+        assert empty > 0 and tied > 0
 
     def check(self, cohort, thresholds, grid_size):
         from optithresh.losses import _loss_batch
@@ -332,6 +404,73 @@ class TestScratchBlocks:
             monkeypatch.setattr(losses, "_SCRATCH_BYTES", 1)
             blocked = np.array(list(losses._member_grids(cohort, t[0], self.GRID)))
             assert np.array_equal(blocked, whole)
+
+    def test_l2_removal_scan_matches_one_batch(self, rng, monkeypatch):
+        from optithresh import losses
+        from optithresh.optimizers import _SelectionScan
+
+        cohort = blocked_cohorts(rng, 20)["shared"]
+        spec = LossSpec(LossKind.L2, self.GRID)
+        j = cohort.shared_cutoffs.size
+        row_bytes = 2 * (cohort.n * (cohort.n - 1) // 2) * 8
+        results = {}
+        for label, budget in self.budgets(row_bytes).items():
+            monkeypatch.setattr(losses, "_SCRATCH_BYTES", budget)
+            scan = _SelectionScan(cohort, spec, np.arange(j))
+            # Every update computed, then a step that keeps most of them.
+            first = scan.removal_losses(np.arange(j))
+            scan.remove(int(np.argmin(first)))
+            results[label] = (first, scan.removal_losses(np.arange(j - 1)), scan.reuse)
+        assert results["single"][2][0] > 0 and results["single"][2][1] > 0
+        for label in ("two rows", "three rows"):
+            for got, want in zip(results[label][:2], results["single"][:2]):
+                assert np.array_equal(got, want), label
+
+    @pytest.mark.parametrize("kind", [LossKind.L1, LossKind.L2])
+    def test_exhaustive_search_matches_one_batch(self, rng, monkeypatch, kind):
+        from optithresh import losses
+        from optithresh.optimizers import _SelectionScan, exhaustive_search
+
+        domain = Domain(0.0, 12.0)
+        cuts = np.arange(1.0, 12.0)
+        members = []
+        for _ in range(12):
+            masses = np.zeros(12)
+            masses[3:6] = rng.dirichlet(np.ones(3))
+            masses[8:11] = rng.dirichlet(np.ones(3))
+            members.append(Histogram(domain, cuts, masses / masses.sum()))
+        cohort = Cohort(members)
+        spec, k = LossSpec(kind, 50), 2
+        combos = np.array(list(itertools.combinations(range(cuts.size), k)))
+        scores = _SelectionScan(cohort, spec, np.empty(0, dtype=np.intp)).selection_losses(combos)
+        first = int(np.argmin(scores))
+        assert first >= 3  # past the first block of two or three rows
+        found = {}
+        for label, budget in self.budgets((k + 2) * losses._VALUE_BYTES).items():
+            monkeypatch.setattr(losses, "_SCRATCH_BYTES", budget)
+            found[label] = exhaustive_search(cohort, k, spec)
+        for result in found.values():
+            assert result.thresholds.values.tolist() == cuts[combos[first]].tolist()
+            assert result.loss == found["single"].loss
+
+    def test_first_best_keeps_the_first_minimum_across_blocks(self, monkeypatch):
+        from optithresh import losses
+        from optithresh.optimizers import _first_best
+
+        k = 2
+        combos = list(itertools.combinations(range(7), k))
+        # Tied minima in the block of the first and in a later block.
+        scores = dict.fromkeys(combos, 1.0)
+        for i in (4, 5, 9):
+            scores[combos[i]] = 0.0
+
+        def score(sel):
+            return np.array([scores[tuple(row)] for row in sel.tolist()])
+
+        for budget in self.budgets((k + 2) * losses._VALUE_BYTES).values():
+            monkeypatch.setattr(losses, "_SCRATCH_BYTES", budget)
+            best = _first_best(iter(combos), len(combos), k, np.empty(0, dtype=np.intp), score)
+            assert tuple(best.tolist()) == combos[4]
 
     def test_peak_memory_does_not_grow_with_the_batch(self, rng):
         import tracemalloc
