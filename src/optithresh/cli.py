@@ -9,7 +9,6 @@ infeasibility.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -185,12 +184,18 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_table(path: Path, header: list, records) -> None:
+    """One CSV line per JSON record, with the columns ``header``.
+
+    A sequence is written as its values' reprs joined by spaces, None as an empty cell.
+    """
+    def cell(value) -> str:
+        if isinstance(value, (list, tuple)):
+            return " ".join(_reprs(value))
+        return "" if value is None else str(value)
+
+    lines = ((cell(r[header[0]]), [[cell(r[key]) for key in header[1:]]]) for r in records)
+    _write_float_rows(path, header, lines)
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -215,25 +220,35 @@ def _grid_size(flag, config: dict) -> int:
     return _integer(value, "grid_size", 1)
 
 
+def _thresholds(raw, name: str) -> tuple:
+    """Sorted thresholds from a config list of numbers, which must be finite and distinct."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {raw!r}")
+    try:
+        values = tuple(sorted(float(p) for p in raw))
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse {name} thresholds from {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} thresholds must be finite, got {raw!r}")
+    if any(a == b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{name} thresholds must be distinct, got {raw!r}")
+    return values
+
+
 def _parse_fixed(raw) -> tuple:
     """Sorted fixed thresholds from a comma-separated flag or a config list of numbers."""
     if raw is None:
         return ()
     if isinstance(raw, str):
-        parts = [p for p in raw.split(",") if p.strip()]
-    elif isinstance(raw, list):
-        parts = raw
-    else:
-        raise ConfigError(f"fixed must be a list of numbers, got {raw!r}")
-    try:
-        values = tuple(sorted(float(p) for p in parts))
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse fixed thresholds from {raw!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"fixed thresholds must be finite, got {raw!r}")
-    if any(a == b for a, b in zip(values, values[1:])):
-        raise ConfigError(f"fixed thresholds must be distinct, got {raw!r}")
-    return values
+        raw = [p for p in raw.split(",") if p.strip()]
+    return _thresholds(raw, "fixed")
+
+
+def _list(value, name: str, numbers: bool = False) -> list:
+    """A config setting that must be a JSON list, of numbers if ``numbers``."""
+    if not isinstance(value, list) or numbers and not all(type(v) in (int, float) for v in value):
+        raise ConfigError(f"{name} must be a list{' of numbers' if numbers else ''}, got {value!r}")
+    return value
 
 
 @click.group()
@@ -370,8 +385,8 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
             "config",
         )
         spec = _mixture_spec(config.get("mixture", {}))
-        methods = config.get("methods", ["oracle", "de", "sa"])
-        losses = config.get("losses", ["l1"])
+        methods = _list(config.get("methods", ["oracle", "de", "sa"]), "methods")
+        losses = _list(config.get("losses", ["l1"]), "losses")
         if any(token not in ("l1", "l2") for token in losses):
             raise ConfigError(
                 "losses must be drawn from ['l1', 'l2']; the PAA baseline supplies its own "
@@ -383,6 +398,8 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
         reps_value = _integer(reps if reps is not None else config.get("reps", 10), "reps", 1)
         seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
         noise_levels = config.get("noise_levels")
+        if noise_levels is not None:
+            _list(noise_levels, "noise_levels", numbers=True)
         de_config = _de_config(config.get("de", {}), None)
         out_path = Path(out_dir or config.get("out", "."))
     except ConfigError as exc:
@@ -407,47 +424,24 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
     payload["config"] = {
         "config_file": str(config_path) if config_path else None,
         "mixture": config.get("mixture", {}),
-        "methods": list(methods),
-        "losses": list(losses),
+        "methods": methods,
+        "losses": losses,
         "k": k_value,
         "reps": reps_value,
         "seed": seed_value,
         "noise_levels": noise_levels,
     }
     _write_json(out_path / "benchmark.json", payload)
-    _write_csv(
+    _write_table(
         out_path / "benchmark.csv",
         ["method", "loss", "noise_sd", "k", "reps", "mean_thresholds", "se_thresholds",
          "mean_loss", "se_loss"],
-        [
-            [
-                row.method,
-                row.loss_kind,
-                row.noise_sd,
-                row.k,
-                row.reps,
-                " ".join(repr(float(v)) for v in row.mean_thresholds),
-                "" if row.se_thresholds is None else " ".join(repr(float(v)) for v in row.se_thresholds),
-                repr(row.mean_loss),
-                "" if row.se_loss is None else repr(row.se_loss),
-            ]
-            for row in report.rows
-        ],
+        payload["rows"],
     )
-    _write_csv(
+    _write_table(
         out_path / "replications.csv",
         ["method", "loss", "noise_sd", "replication", "thresholds", "loss_value"],
-        [
-            [
-                rec.method,
-                rec.loss_kind,
-                rec.noise_sd,
-                rec.replication,
-                " ".join(repr(float(v)) for v in rec.thresholds),
-                repr(rec.loss),
-            ]
-            for rec in report.replications
-        ],
+        payload["replications"],
     )
     click.echo(f"wrote {out_path / 'benchmark.json'}")
 
@@ -467,6 +461,13 @@ def cmd_evaluate(config_path, grid_size, out_dir):
         )
         if "threshold_sets" not in config:
             raise ConfigError("config requires 'threshold_sets'")
+        sets = [
+            ThresholdSet(_thresholds(raw, f"threshold_sets[{i}]"))
+            for i, raw in enumerate(_list(config["threshold_sets"], "threshold_sets"))
+        ]
+        reference = (
+            ThresholdSet(_thresholds(config["reference"], "reference")) if "reference" in config else None
+        )
         labeled_single = "input" in config
         if labeled_single == ("group_a" in config or "group_b" in config):
             raise ConfigError(
@@ -499,10 +500,6 @@ def cmd_evaluate(config_path, grid_size, out_dir):
                     raise ConfigError(f"config requires {key!r}")
             cohort_a = _load_input(config["group_a"], Method.DIFFERENTIAL_EVOLUTION, out_path)
             cohort_b = _load_input(config["group_b"], Method.DIFFERENTIAL_EVOLUTION, out_path)
-        sets = [ThresholdSet.ordered(values) for values in config["threshold_sets"]]
-        reference = (
-            ThresholdSet.ordered(config["reference"]) if "reference" in config else None
-        )
         grid = _grid_size(grid_size, config)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
@@ -524,19 +521,10 @@ def cmd_evaluate(config_path, grid_size, out_dir):
         "grid_size": grid,
     }
     _write_json(out_path / "comparison.json", payload)
-    _write_csv(
+    _write_table(
         out_path / "comparison.csv",
         ["thresholds", "loss_l1", "loss_l2", "reduction_l1_pct", "reduction_l2_pct"],
-        [
-            [
-                " ".join(repr(float(v)) for v in entry.thresholds),
-                repr(entry.loss_l1),
-                repr(entry.loss_l2),
-                repr(entry.reduction_l1_pct),
-                repr(entry.reduction_l2_pct),
-            ]
-            for entry in report.entries
-        ],
+        payload["threshold_sets"],
     )
     (out_path / "tables.md").write_text(report.to_markdown(), encoding="utf-8")
     click.echo(f"wrote {out_path / 'comparison.json'}")

@@ -9,7 +9,7 @@ reference set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -186,32 +186,13 @@ class ComparisonReport:
     grid_size: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "reference": list(self.reference),
-            "n_group_a": self.n_group_a,
-            "n_group_b": self.n_group_b,
-            "grid_size": self.grid_size,
-            "threshold_sets": [
-                {
-                    "thresholds": list(e.thresholds),
-                    "loss_l1": e.loss_l1,
-                    "loss_l2": e.loss_l2,
-                    "reduction_l1_pct": e.reduction_l1_pct,
-                    "reduction_l2_pct": e.reduction_l2_pct,
-                    "components": [
-                        {
-                            "range": c.label,
-                            "intercept": c.classifier.intercept,
-                            "slope": c.classifier.slope,
-                            "decision_boundary": c.classifier.decision_boundary,
-                            "accuracy": c.classifier.accuracy,
-                        }
-                        for c in e.components
-                    ],
-                }
-                for e in self.entries
-            ],
-        }
+        """The report's fields; entries are written as "threshold_sets", each component as its
+        "range" beside its classifier's fields."""
+        report = asdict(self)
+        report["threshold_sets"] = report.pop("entries")
+        for entry in report["threshold_sets"]:
+            entry["components"] = [{"range": c["label"], **c["classifier"]} for c in entry["components"]]
+        return report
 
     def to_markdown(self) -> str:
         lines = []

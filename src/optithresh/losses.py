@@ -537,7 +537,8 @@ class _SegmentTable:
         missing = np.isnan(self.costs[a, b])
         if missing.any():
             n_cols = self.costs.shape[0]
-            a_new, b_new = np.divmod(np.unique(a[missing] * n_cols + b[missing]), n_cols)
+            keys = np.sort(a[missing] * n_cols + b[missing])
+            a_new, b_new = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_cols)
             for block in _blocks(a_new.size, self.scorer.n * _SEGMENT_BYTES):
                 rows, cols = a_new[block], b_new[block]
                 segments = self.scorer.segment_costs(self.anchors[rows], self.anchors[cols])

@@ -310,8 +310,8 @@ class _SelectionScan:
         """
         last = self.p.shape[1] - 1
         changes = []
-        for first in (1, 0):  # the chords used by even, then odd anchors
-            keep = np.unique(np.r_[0, first:last:2, last])
+        for first in (1, 2):  # the chords used by even, then odd anchors
+            keep = np.r_[0, first:last:2, last]
             chord = interp_rows(self.p[:, keep], self.v[:, keep], self.u)
             changes.append(np.subtract(chord, self.grids, out=chord))
         centred = self.grids - self.grids.mean(axis=0)
@@ -414,7 +414,7 @@ class _BrayCurtisRemovalScan:
         pi, pj = self._pair_i, self._pair_j
         kept, self._column_terms = self._column_terms, {}
         terms = {}
-        for col in np.union1d(positions, positions + 1).tolist():
+        for col in sorted({*positions.tolist(), *(positions + 1).tolist()}):
             key = (self._bounds[col], self._bounds[col + 1])
             column = self._columns[col]
             found = kept.get(key)
@@ -449,7 +449,7 @@ def _greedy(scan, k: int, fixed_pos: np.ndarray) -> tuple:
             moves = np.nonzero(~np.isin(scan.sel, fixed_pos))[0]
             losses, move = scan.removal_losses(moves), scan.remove
         else:
-            moves = np.setdiff1d(np.arange(scan.cutoffs.size), scan.sel)
+            moves = np.flatnonzero(~np.isin(np.arange(scan.cutoffs.size), scan.sel))
             losses, move = scan.insertion_losses(moves), scan.insert
         best, best_loss = -1, math.inf
         for cand, loss in zip(moves.tolist(), losses.tolist()):
@@ -508,7 +508,7 @@ def exhaustive_search(
     j = cutoffs.size
     _check_k(k, fixed, j)
     fixed_pos = _fixed_positions(cutoffs, fixed)
-    free = np.setdiff1d(np.arange(j, dtype=np.intp), fixed_pos)
+    free = np.flatnonzero(~np.isin(np.arange(j), fixed_pos))
     n_free = k - len(fixed)
     n_combos = math.comb(free.size, n_free)
     if n_combos > budget:

@@ -10,7 +10,7 @@ thresholds and losses with standard errors.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -214,37 +214,14 @@ class BenchmarkReport:
     grid_size: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "reps": self.reps,
-            "seed_entropy": list(self.seed_entropy),
-            "grid_size": self.grid_size,
-            "rows": [
-                {
-                    "method": r.method,
-                    "loss": r.loss_kind,
-                    "noise_sd": r.noise_sd,
-                    "k": r.k,
-                    "reps": r.reps,
-                    "mean_thresholds": list(r.mean_thresholds),
-                    "se_thresholds": None if r.se_thresholds is None else list(r.se_thresholds),
-                    "mean_loss": r.mean_loss,
-                    "se_loss": r.se_loss,
-                }
-                for r in self.rows
-            ],
-            "replications": [
-                {
-                    "method": rec.method,
-                    "loss": rec.loss_kind,
-                    "noise_sd": rec.noise_sd,
-                    "replication": rec.replication,
-                    "thresholds": list(rec.thresholds),
-                    "loss": rec.loss,
-                }
-                for rec in self.replications
-            ],
-        }
+        """The report's fields; a record's loss kind is written as "loss", its loss as "loss_value"."""
+        def named(record: dict) -> dict:
+            return {{"loss_kind": "loss", "loss": "loss_value"}.get(key, key): v for key, v in record.items()}
+
+        report = asdict(self)
+        report["rows"] = [named(row) for row in report["rows"]]
+        report["replications"] = [named(rec) for rec in report["replications"]]
+        return report
 
 
 def _method_token(method: Union[str, Method]) -> str:
@@ -252,6 +229,42 @@ def _method_token(method: Union[str, Method]) -> str:
     if token not in BENCHMARK_METHODS:
         raise ValueError(f"unknown benchmark method {method!r}; expected one of {BENCHMARK_METHODS}")
     return token
+
+
+def _replication_records(spec, noise, rep, root, tokens, loss_specs, k, de_config) -> list:
+    """The records of every (method, loss) pair on replication ``rep`` at noise level ``noise``.
+
+    Its cohort and DE seed are spawned from ``root`` alone, so each (noise level,
+    replication) cell is independent of the others.
+    """
+    spec = replace(spec, noise_sd=float(noise))
+    cohort_seed, de_seed = root.spawn(2)
+    empirical, binned = generate_cohort(spec, cohort_seed)
+    de_config = replace(de_config or DEConfig(), seed=int(de_seed.generate_state(1, np.uint64)[0] >> 1))
+    log.debug("noise %.1f replication %d generated", noise, rep)
+    records = []
+    for token in tokens:
+        if token == "paa":
+            res = optimize(binned, k, None, Method.PAA)
+            records.append(
+                ReplicationRecord(
+                    "paa", LossKind.L2_BRAY_CURTIS.value, noise, rep, res.thresholds.thresholds, res.loss
+                )
+            )
+            continue
+        for ls in loss_specs:
+            if token == "oracle":
+                thresholds = spec.base_thresholds
+                loss = evaluate_loss(empirical, ThresholdSet(thresholds), ls)
+            else:
+                if token == "de":
+                    res = optimize(empirical, k, ls, Method.DIFFERENTIAL_EVOLUTION, config=de_config)
+                else:
+                    method = Method.STEPWISE_AGGREGATION if token == "sa" else Method.STEPWISE_SPLITTING
+                    res = optimize(binned, k, ls, method)
+                loss, thresholds = res.loss, res.thresholds.thresholds
+            records.append(ReplicationRecord(token, ls.kind.value, noise, rep, thresholds, loss))
+    return records
 
 
 def run_benchmark(
@@ -288,55 +301,15 @@ def run_benchmark(
 
     records = []
     for noise_index, noise in enumerate(noise_levels):
-        noise_spec = replace(spec, noise_sd=float(noise))
         for rep in range(reps):
             root = np.random.SeedSequence([seed_entropy[rep], noise_index])
-            cohort_seed, de_seed = root.spawn(2)
-            empirical, binned = generate_cohort(noise_spec, cohort_seed)
-            de_seed_int = int(de_seed.generate_state(1, np.uint64)[0] >> 1)
-            log.debug("noise %.1f replication %d generated", noise, rep)
-            for token in tokens:
-                if token == "paa":
-                    res = optimize(binned, k, None, Method.PAA)
-                    records.append(
-                        ReplicationRecord(
-                            "paa", LossKind.L2_BRAY_CURTIS.value, noise, rep,
-                            res.thresholds.thresholds, res.loss,
-                        )
-                    )
-                    continue
-                for ls in loss_specs:
-                    if token == "oracle":
-                        t = ThresholdSet(noise_spec.base_thresholds)
-                        loss = evaluate_loss(empirical, t, ls)
-                        thresholds = noise_spec.base_thresholds
-                    elif token == "de":
-                        config = de_config or DEConfig()
-                        config = replace(config, seed=de_seed_int)
-                        res = optimize(
-                            empirical, k, ls, Method.DIFFERENTIAL_EVOLUTION, config=config
-                        )
-                        loss, thresholds = res.loss, res.thresholds.thresholds
-                    else:
-                        method = Method.STEPWISE_AGGREGATION if token == "sa" else Method.STEPWISE_SPLITTING
-                        res = optimize(binned, k, ls, method)
-                        loss, thresholds = res.loss, res.thresholds.thresholds
-                    records.append(
-                        ReplicationRecord(token, ls.kind.value, noise, rep, thresholds, loss)
-                    )
+            records += _replication_records(spec, noise, rep, root, tokens, loss_specs, k, de_config)
+    cells = {}
+    for rec in records:
+        cells.setdefault((rec.method, rec.loss_kind, rec.noise_sd), []).append(rec)
 
     rows = []
-    grid_size = loss_specs[0].grid_size if loss_specs else 0
-    seen = []
-    for rec in records:
-        key = (rec.method, rec.loss_kind, rec.noise_sd)
-        if key not in seen:
-            seen.append(key)
-    for method, loss_kind, noise in seen:
-        cell = [
-            r for r in records
-            if (r.method, r.loss_kind, r.noise_sd) == (method, loss_kind, noise)
-        ]
+    for (method, loss_kind, noise), cell in cells.items():
         thresholds = np.array([r.thresholds for r in cell])
         losses = np.array([r.loss for r in cell])
         n_cell = len(cell)
@@ -364,5 +337,5 @@ def run_benchmark(
         k=k,
         reps=reps,
         seed_entropy=tuple(int(s) for s in seed_entropy),
-        grid_size=grid_size,
+        grid_size=loss_specs[0].grid_size if loss_specs else 0,
     )

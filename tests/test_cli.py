@@ -394,7 +394,9 @@ import optithresh
 import optithresh.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(
+        m for m in sys.modules if m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma."))
+    )
 
 report = {"after_import": loaded(), "codes": []}
 for args in json.loads(sys.argv[1]):
@@ -408,7 +410,10 @@ print(json.dumps(report))
 
 
 def fresh_cli_runs(arg_lists):
-    """Run ``optithresh`` commands in one fresh interpreter; its exit codes and loaded scipy modules."""
+    """Run ``optithresh`` commands in one fresh interpreter.
+
+    Returns its exit codes and the scipy and numpy.ma modules loaded after import and after the runs.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
@@ -421,7 +426,7 @@ def fresh_cli_runs(arg_lists):
 
 
 class TestScipyImport:
-    """scipy is loaded by the first pairwise loss, never by L1 runs."""
+    """scipy is loaded by the first pairwise loss, never by L1 runs, which load no numpy.ma either."""
 
     def test_l1_runs_never_load_scipy(self, tmp_path):
         sim = TestOptimizeCommand().config(tmp_path, k=2, grid_size=40)
@@ -512,6 +517,28 @@ class TestSimulateCommand:
         assert f"{key} must be an integer" in result.output
         assert not (tmp_path / "benchmark.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("methods", 5, "methods must be a list"),
+            ("methods", "oracle", "methods must be a list"),
+            ("losses", 5, "losses must be a list"),
+            ("noise_levels", 5, "noise_levels must be a list of numbers"),
+            ("noise_levels", [None], "noise_levels must be a list of numbers"),
+            ("noise_levels", ["5"], "noise_levels must be a list of numbers"),
+            ("noise_levels", [True], "noise_levels must be a list of numbers"),
+        ],
+        ids=["methods-number", "methods-word", "losses-number", "noise-number", "noise-null", "noise-word",
+             "noise-bool"],
+    )
+    def test_malformed_list_setting_is_config_error(self, runner, tmp_path, key, value, message):
+        payload = {"mixture": SMALL_MIXTURE, "methods": ["oracle"], "reps": 1, key: value}
+        cfg = write_config(tmp_path, "sim.json", payload)
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "benchmark.json").exists()
+
     def test_negative_k_is_config_error(self, runner, tmp_path):
         cfg = write_config(tmp_path, "sim.json", {"mixture": SMALL_MIXTURE, "reps": 1})
         result = runner.invoke(main, ["simulate", "--config", cfg, "--k", "-1", "--out", str(tmp_path)])
@@ -526,6 +553,29 @@ class TestSimulateCommand:
         )
         result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_replications_keep_their_loss_kind(self, runner, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "simulate.json",
+            {
+                "mixture": SMALL_MIXTURE,
+                "methods": ["oracle", "ss"],
+                "losses": ["l1", "l2"],
+                "k": 2,
+                "reps": 2,
+                "seed": 3,
+                "grid_size": 50,
+            },
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        replications = json.loads((out / "benchmark.json").read_text())["replications"]
+        with (out / "replications.csv").open(newline="", encoding="utf-8") as handle:
+            lines = list(csv.DictReader(handle))
+        assert [r["loss"] for r in replications] == [line["loss"] for line in lines] == ["l1", "l2"] * 4
+        assert [r["loss_value"] for r in replications] == [float(line["loss_value"]) for line in lines]
 
     def test_benchmark_determinism(self, runner, tmp_path):
         cfg = write_config(
@@ -548,6 +598,36 @@ class TestSimulateCommand:
 
 
 class TestEvaluateCommand:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"threshold_sets": 5}, "threshold_sets must be a list"),
+            ({"threshold_sets": ["70,180"]}, "threshold_sets[0] must be a list of numbers"),
+            ({"threshold_sets": [[70.0, 181.0], [70, "x"]]}, "cannot parse threshold_sets[1] thresholds"),
+            ({"threshold_sets": [[70, 70]]}, "threshold_sets[0] thresholds must be distinct"),
+            ({"threshold_sets": [[70, float("nan")]]}, "threshold_sets[0] thresholds must be finite"),
+            ({"reference": 5}, "reference must be a list of numbers"),
+            ({"reference": "70,181"}, "reference must be a list of numbers"),
+            ({"reference": [181, 181.0]}, "reference thresholds must be distinct"),
+        ],
+        ids=["sets-number", "set-string", "set-word", "set-repeated", "set-nan", "reference-number",
+             "reference-string", "reference-repeated"],
+    )
+    def test_malformed_threshold_sets_are_config_errors(self, runner, tmp_path, overrides, message):
+        payload = {
+            "group_a": {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 1, "use": "empirical"},
+            "group_b": {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 2, "use": "empirical"},
+            "threshold_sets": [[70.0, 181.0]],
+            "grid_size": 40,
+            **overrides,
+        }
+        cfg = write_config(tmp_path, "evaluate.json", payload)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["evaluate", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output and "fixed" not in result.output
+        assert not (out / "comparison.json").exists()
+
     def test_smoke(self, runner, tmp_path):
         narrow = dict(SMALL_MIXTURE)
         narrow["base_thresholds"] = [90.0, 130.0, 170.0]
