@@ -465,6 +465,8 @@ def cmd_evaluate(config_path, grid_size, out_dir):
             ThresholdSet(_thresholds(raw, f"threshold_sets[{i}]"))
             for i, raw in enumerate(_list(config["threshold_sets"], "threshold_sets"))
         ]
+        if not sets:
+            raise ConfigError("threshold_sets must hold at least one threshold set")
         reference = (
             ThresholdSet(_thresholds(config["reference"], "reference")) if "reference" in config else None
         )

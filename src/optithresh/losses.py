@@ -12,6 +12,10 @@ per-member anchor tables used to linearize quantile functions quickly.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -355,11 +359,35 @@ def _require_pairs(n: int) -> None:
         raise ValueError("pairwise loss requires at least two cohort members")
 
 
-def _pdist(x: np.ndarray, metric: str) -> np.ndarray:
-    """scipy's condensed ``pdist``, imported on first use so L1 runs never load scipy."""
-    from scipy.spatial.distance import pdist
+#: scipy's compiled module behind ``scipy.spatial.distance.pdist`` for the
+#: metrics used here.
+_DISTANCE_MODULE = "scipy.spatial._distance_pybind"
 
-    return pdist(x, metric=metric)
+
+def _pdist(x: np.ndarray, metric: str) -> np.ndarray:
+    """scipy's condensed ``pdist`` for ``euclidean``, ``sqeuclidean`` or ``cityblock``.
+
+    ``scipy.spatial.distance.pdist`` hands these metrics to the compiled
+    kernels of ``scipy.spatial._distance_pybind``.  That module is loaded on
+    first use without importing the ``scipy.spatial`` package, whose KD-trees,
+    Qhull, ``scipy.sparse`` and ``scipy.linalg`` no loss needs, and is
+    registered under its own name, so a later ``import scipy.spatial`` shares
+    it.  L1 runs never get here and load no scipy.
+    """
+    import scipy
+
+    module = sys.modules.get(_DISTANCE_MODULE)
+    if module is None:
+        spatial = os.path.join(scipy.__path__[0], "spatial")
+        spec = importlib.machinery.PathFinder.find_spec(_DISTANCE_MODULE, [spatial])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_DISTANCE_MODULE] = module
+    kernel = getattr(module, f"pdist_{metric}", None)
+    if kernel is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {_DISTANCE_MODULE}.pdist_{metric}")
+    return kernel(x)
 
 
 def _loss_terms(cohort: Cohort, lin: np.ndarray, kind: LossKind) -> np.ndarray:
@@ -400,14 +428,14 @@ def _losses(cohort: Cohort, terms: np.ndarray, spec: LossSpec) -> np.ndarray:
 def _loss_batch(cohort: Cohort, thresholds: np.ndarray, spec: LossSpec) -> np.ndarray:
     """Loss of each candidate threshold vector; rows of ``thresholds`` are (B, K).
 
-    Candidates are scored in blocks under ``_SCRATCH_BYTES``.
+    The anchors of all candidates are found at once, and candidates are
+    linearized and scored in blocks under ``_SCRATCH_BYTES``.
     """
-    t = np.atleast_2d(np.asarray(thresholds, dtype=np.float64))
-    n_cand, k = t.shape
-    row_bytes = cohort.n * (spec.grid_size + k + 2) * _VALUE_BYTES
+    p_full, v_full = _anchor_rows(cohort, thresholds)
+    n_cand, n, n_anchors = p_full.shape
     out = np.empty(n_cand)
-    for rows in _blocks(n_cand, row_bytes):
-        lin = _linearized_rows(*_anchor_rows(cohort, t[rows]), spec.grid_size)
+    for rows in _blocks(n_cand, n * (spec.grid_size + n_anchors) * _VALUE_BYTES):
+        lin = _linearized_rows(p_full[rows], v_full[rows], spec.grid_size)
         out[rows] = _losses(cohort, _loss_terms(cohort, lin, spec.kind), spec)
     return out
 

@@ -222,7 +222,12 @@ class _SelectionScan:
             cols = _selection_cols(self.cutoffs.size, sel)
             totals = self.costs(cols[:, :-1], cols[:, 1:]).sum(axis=1)
             return _losses(self.cohort, totals, self.spec)
-        return _loss_batch(self.cohort, self.cutoffs[sel], self.spec)
+        # ``_loss_batch`` finds the anchors of all its selections at once, so
+        # selections go to it in blocks that bound the anchors' scratch.
+        out = np.empty(len(sel))
+        for rows in _blocks(len(sel), self.cohort.n * (sel.shape[1] + 2) * _VALUE_BYTES):
+            out[rows] = _loss_batch(self.cohort, self.cutoffs[sel[rows]], self.spec)
+        return out
 
     def insertion_losses(self, candidates: np.ndarray) -> np.ndarray:
         """Losses after inserting each cutoff index of ``candidates`` into the selection."""

@@ -426,7 +426,8 @@ def fresh_cli_runs(arg_lists):
 
 
 class TestScipyImport:
-    """scipy is loaded by the first pairwise loss, never by L1 runs, which load no numpy.ma either."""
+    """scipy's compiled distance kernels are loaded by the first pairwise loss, without the rest
+    of ``scipy.spatial``; L1 runs load no scipy and no numpy.ma."""
 
     def test_l1_runs_never_load_scipy(self, tmp_path):
         sim = TestOptimizeCommand().config(tmp_path, k=2, grid_size=40)
@@ -448,10 +449,16 @@ class TestScipyImport:
         assert all((tmp_path / name / "result.json").exists() for name in ("de", "sa", "ss", "exhaustive", "csv"))
 
     def test_l2_run_loads_scipy(self, tmp_path):
-        cfg = TestOptimizeCommand().config(tmp_path, loss="l2", method="sa", k=2, grid_size=40)
-        report = fresh_cli_runs([["optimize", "--config", cfg, "--out", str(tmp_path / "out")]])
-        assert report["after_import"] == [] and report["codes"] == [0]
-        assert "scipy.spatial.distance" in report["after_runs"]
+        """An SA run under L2 and a PAA run, each in a fresh interpreter, load the kernels alone."""
+        source = {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 3}
+        for method, loss in (("sa", {"loss": "l2"}), ("paa", {})):
+            payload = {"input": source, "method": method, "k": 2, "grid_size": 40, **loss}
+            cfg = write_config(tmp_path, f"{method}.json", payload)
+            report = fresh_cli_runs([["optimize", "--config", cfg, "--out", str(tmp_path / method)]])
+            assert report["after_import"] == [] and report["codes"] == [0], method
+            assert "scipy.spatial._distance_pybind" in report["after_runs"], method
+            for package in ("scipy.spatial", "scipy.spatial.distance", "scipy.sparse", "scipy.linalg"):
+                assert package not in report["after_runs"], (method, package)
 
 
 class TestSimulateCommand:
@@ -602,6 +609,7 @@ class TestEvaluateCommand:
         "overrides, message",
         [
             ({"threshold_sets": 5}, "threshold_sets must be a list"),
+            ({"threshold_sets": []}, "threshold_sets must hold at least one threshold set"),
             ({"threshold_sets": ["70,180"]}, "threshold_sets[0] must be a list of numbers"),
             ({"threshold_sets": [[70.0, 181.0], [70, "x"]]}, "cannot parse threshold_sets[1] thresholds"),
             ({"threshold_sets": [[70, 70]]}, "threshold_sets[0] thresholds must be distinct"),
@@ -610,8 +618,8 @@ class TestEvaluateCommand:
             ({"reference": "70,181"}, "reference must be a list of numbers"),
             ({"reference": [181, 181.0]}, "reference thresholds must be distinct"),
         ],
-        ids=["sets-number", "set-string", "set-word", "set-repeated", "set-nan", "reference-number",
-             "reference-string", "reference-repeated"],
+        ids=["sets-number", "sets-empty", "set-string", "set-word", "set-repeated", "set-nan",
+             "reference-number", "reference-string", "reference-repeated"],
     )
     def test_malformed_threshold_sets_are_config_errors(self, runner, tmp_path, overrides, message):
         payload = {
@@ -653,10 +661,11 @@ class TestEvaluateCommand:
 
     def test_missing_group_is_config_error(self, runner, tmp_path):
         cfg = write_config(
-            tmp_path, "evaluate.json", {"group_a": {"kind": "simulation"}, "threshold_sets": []}
+            tmp_path, "evaluate.json", {"group_a": {"kind": "simulation"}, "threshold_sets": [[70.0]]}
         )
         result = runner.invoke(main, ["evaluate", "--config", cfg])
         assert result.exit_code == 2
+        assert "config requires 'group_b'" in result.output
 
     def test_non_object_input_is_config_error(self, runner, tmp_path):
         cfg = write_config(tmp_path, "evaluate.json", {"input": ["x"], "threshold_sets": [[70]]})

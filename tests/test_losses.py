@@ -1,4 +1,10 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,6 +504,105 @@ class TestScratchBlocks:
         mb = 1 << 20
         assert peaks["_loss_batch", 45] < 10 * mb and peaks["_loss_batch", 90] < 10 * mb, peaks
         assert peaks["batch_loss", 45] < 2 * mb and peaks["batch_loss", 90] < 2 * mb, peaks
+
+
+PDIST_METRICS = ("euclidean", "sqeuclidean", "cityblock")
+
+PDIST_IMPORT_ORDER = """
+import hashlib, json, sys
+import numpy as np
+
+METRICS = ("euclidean", "sqeuclidean", "cityblock")
+NAME = "scipy.spatial._distance_pybind"
+x = 1e7 + np.random.default_rng(5).uniform(0.0, 400.0, size=(40, 120))
+x[7] = x[3]
+report = {}
+if sys.argv[1] == "scipy-first":
+    import scipy.spatial.distance
+    first = sys.modules[NAME]
+    from optithresh.losses import _pdist
+    got = {m: _pdist(x, m) for m in METRICS}
+else:
+    from optithresh.losses import _pdist
+    got = {m: _pdist(x, m) for m in METRICS}
+    report["spatial_loaded_by_pdist"] = "scipy.spatial" in sys.modules
+    first = sys.modules[NAME]
+    import scipy.spatial.distance
+from scipy.spatial import distance
+report["one_module"] = sys.modules[NAME] is first and distance._distance_pybind is first
+report["public_bits"] = all(distance.pdist(x, m).tobytes() == got[m].tobytes() for m in METRICS)
+report["digests"] = {m: hashlib.sha256(got[m].tobytes()).hexdigest() for m in METRICS}
+print(json.dumps(report))
+"""
+
+
+class TestPdist:
+    """``losses._pdist`` against scipy's public ``pdist``, the reference it stands in for."""
+
+    @pytest.mark.parametrize("metric", PDIST_METRICS)
+    def test_bitwise_the_public_pdist(self, rng, metric):
+        from scipy.spatial.distance import pdist
+
+        from optithresh.losses import _pdist
+
+        for n in (2, 3, 7, 31, 60):
+            for m in (1, 2, 5, 200, 260):
+                for offset in (0.0, 1e7, -1e9, 1e12):
+                    x = offset + rng.uniform(0.0, 400.0, size=(n, m))
+                    x[-1] = x[0]
+                    # A transpose is column-major; its last row repeats its first too.
+                    y = offset + rng.uniform(0.0, 400.0, size=(m, n))
+                    y[:, -1] = y[:, 0]
+                    for view in (x, x[:, ::2], y.T):
+                        got = _pdist(view, metric)
+                        assert got.tobytes() == pdist(view, metric).tobytes(), (n, m, offset)
+                        # The pair of the first and the last row, which are equal.
+                        assert got[n - 2] == 0.0
+
+    def test_both_import_orders_share_one_module(self):
+        from optithresh import losses
+
+        src = str(Path(losses.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        reports = {}
+        for order in ("kernels-first", "scipy-first"):
+            proc = subprocess.run(
+                [sys.executable, "-c", PDIST_IMPORT_ORDER, order],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports[order] = json.loads(proc.stdout.splitlines()[-1])
+            assert reports[order]["one_module"] and reports[order]["public_bits"], order
+        assert reports["kernels-first"]["spatial_loaded_by_pdist"] is False
+        assert reports["kernels-first"]["digests"] == reports["scipy-first"]["digests"]
+
+    def test_uses_the_module_already_loaded(self, monkeypatch):
+        from optithresh import losses
+
+        loaded = types.SimpleNamespace(pdist_euclidean=lambda x: "loaded")
+        monkeypatch.setitem(sys.modules, losses._DISTANCE_MODULE, loaded)
+        assert losses._pdist(np.zeros((2, 1)), "euclidean") == "loaded"
+
+    def test_missing_kernel_names_the_scipy_version(self, monkeypatch):
+        import scipy
+
+        from optithresh import losses
+
+        monkeypatch.setitem(sys.modules, losses._DISTANCE_MODULE, types.ModuleType("empty"))
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no .*pdist_cityblock"):
+            losses._pdist(np.zeros((2, 1)), "cityblock")
+
+    def test_missing_module_names_the_scipy_version(self, monkeypatch, tmp_path):
+        import scipy
+
+        from optithresh import losses
+
+        monkeypatch.delitem(sys.modules, losses._DISTANCE_MODULE, raising=False)
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no"):
+            losses._pdist(np.zeros((2, 1)), "euclidean")
+        assert losses._DISTANCE_MODULE not in sys.modules
 
 
 class TestLossL2:
