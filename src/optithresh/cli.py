@@ -65,10 +65,10 @@ def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} not found")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config
@@ -135,8 +135,8 @@ def _load_input(section: dict, method: Method, out_dir: Path):
 
 def _read_csv_input(section: dict, out_dir: Path, label_column=None):
     """Histograms of the kept subjects of a csv input and its IngestResult; writes the sidecar."""
-    if "path" not in section:
-        raise ConfigError("input.path is required for csv inputs")
+    if not isinstance(section.get("path"), str):
+        raise ConfigError(f"input.path must be the path of a csv file, got {section.get('path')!r}")
     columns = section.get("columns", {})
     _check_keys(columns, {"id", "time", "value"}, "input.columns")
     schema = CsvSchema(columns.get("id", "id"), columns.get("time", "time"), columns.get("value", "gl"))
@@ -151,8 +151,8 @@ def _read_csv_input(section: dict, out_dir: Path, label_column=None):
         raise ConfigError(f"input.on_bad_row must be 'error' or 'skip', got {on_bad_row!r}")
     try:
         result = read_cgm_csv(section["path"], schema, on_bad_row, label_column)
-    except FileNotFoundError:
-        raise DataError(f"input file {section['path']} not found")
+    except OSError as exc:  # missing or a directory
+        raise DataError(f"cannot read input file {section['path']}: {exc.strerror}")
     except ValueError as exc:
         raise DataError(str(exc))
     decisions = result.decisions(policy)

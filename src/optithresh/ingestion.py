@@ -146,8 +146,9 @@ def read_cgm_csv(
     Out-of-range values are clamped and counted per subject.  Malformed rows
     (bad number, bad or non-finite timestamp, a subject's repeated timestamp
     after its first reading) raise by default; with ``on_bad_row="skip"`` they
-    are collected with their line numbers instead.  Missing schema columns are
-    always fatal.  A ``label_column`` is read from every row with an id.
+    are collected with their line numbers instead.  Missing schema columns and
+    CSV structure errors are always fatal.  A ``label_column`` is read from
+    every row with an id.
     """
     if on_bad_row not in ("error", "skip"):
         raise ValueError("on_bad_row must be 'error' or 'skip'")
@@ -162,50 +163,53 @@ def read_cgm_csv(
     codes_of: dict = {}  # subject id -> code, in order of its first good reading
     codes, stamps, values, lines = array("q"), array("d"), array("d"), array("q")
     labels = conflict = None
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return IngestResult([], {}, [])
-        names = (schema.id_column, schema.time_column, schema.value_column)
-        for column in names:
-            if column not in header:
-                raise ValueError(f"missing required column {column!r} in {path}")
-        position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        id_at, time_at, value_at = (position[name] for name in names)
-        width = max(id_at, time_at, value_at) + 1
-        if label_column in header:
-            labels, label_at = {}, position[label_column]
-            label_width = max(id_at, label_at) + 1
-        for row in reader:
-            if not row:
-                continue
-            if labels is not None and len(row) >= label_width and row[id_at]:
-                if labels.setdefault(row[id_at], row[label_at]) != row[label_at] and conflict is None:
-                    conflict = row[id_at]
-            if len(row) < width or not row[id_at]:
-                bad(reader.line_num, "incomplete row")
-                continue
-            raw_time, raw_value = row[time_at], row[value_at]
-            try:
-                stamp = float(raw_time)
-            except ValueError:
-                stamp = _iso_timestamp(raw_time)
-            if not isfinite(stamp):
-                bad(reader.line_num, f"unparseable timestamp {raw_time!r}")
-                continue
-            try:
-                value = float(raw_value)
-            except ValueError:
-                bad(reader.line_num, f"unparseable value {raw_value!r}")
-                continue
-            if value != value:
-                bad(reader.line_num, "missing value")
-                continue
-            codes.append(codes_of.setdefault(row[id_at], len(codes_of)))
-            stamps.append(stamp)
-            values.append(value)
-            lines.append(reader.line_num)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                return IngestResult([], {}, [])
+            names = (schema.id_column, schema.time_column, schema.value_column)
+            for column in names:
+                if column not in header:
+                    raise ValueError(f"missing required column {column!r} in {path}")
+            position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            id_at, time_at, value_at = (position[name] for name in names)
+            width = max(id_at, time_at, value_at) + 1
+            if label_column in header:
+                labels, label_at = {}, position[label_column]
+                label_width = max(id_at, label_at) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if labels is not None and len(row) >= label_width and row[id_at]:
+                    if labels.setdefault(row[id_at], row[label_at]) != row[label_at] and conflict is None:
+                        conflict = row[id_at]
+                if len(row) < width or not row[id_at]:
+                    bad(reader.line_num, "incomplete row")
+                    continue
+                raw_time, raw_value = row[time_at], row[value_at]
+                try:
+                    stamp = float(raw_time)
+                except ValueError:
+                    stamp = _iso_timestamp(raw_time)
+                if not isfinite(stamp):
+                    bad(reader.line_num, f"unparseable timestamp {raw_time!r}")
+                    continue
+                try:
+                    value = float(raw_value)
+                except ValueError:
+                    bad(reader.line_num, f"unparseable value {raw_value!r}")
+                    continue
+                if value != value:
+                    bad(reader.line_num, "missing value")
+                    continue
+                codes.append(codes_of.setdefault(row[id_at], len(codes_of)))
+                stamps.append(stamp)
+                values.append(value)
+                lines.append(reader.line_num)
+    except csv.Error as exc:  # a structure error, such as a field over csv.field_size_limit()
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
 
     ids = list(codes_of)
     code, stamp, value, line = (np.frombuffer(c, c.typecode) for c in (codes, stamps, values, lines))

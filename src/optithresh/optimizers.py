@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -645,87 +646,86 @@ def _repair_rows(free: np.ndarray, fixed: tuple, domain: Domain, bump: float) ->
     return merged
 
 
-class _ExactScores:
-    """DE losses evaluated exactly for every candidate."""
+class _ExactSelection:
+    """DE's one-to-one selection (Storn & Price 1997) on exact losses.
 
-    def __init__(self, cohort: Cohort, spec: LossSpec, repaired):
-        self.cohort = cohort
-        self.spec = spec
-        self.repaired = repaired
+    It holds the population, which it changes in place, and in ``losses`` the
+    members' losses, which DE only reads.  ``select`` replaces every member
+    whose trial is no worse and returns which did.
+    """
 
-    def score(self, population: np.ndarray) -> np.ndarray:
-        return _loss_batch(self.cohort, self.repaired(population), self.spec)
+    def __init__(self, cohort: Cohort, spec: LossSpec, repaired, population: np.ndarray):
+        self.cohort, self.spec, self.repaired, self.population = cohort, spec, repaired, population
+        self.losses = self._exact(population)
 
-    def no_worse(self, trials, trial_losses, population, losses) -> np.ndarray:
-        return trial_losses <= losses
+    def _exact(self, rows: np.ndarray) -> np.ndarray:
+        # A one-row batch sums in another order than larger ones (``_blocks``): pad it.
+        padded = self.repaired(rows if len(rows) > 1 else np.vstack([rows, rows]))
+        return _loss_batch(self.cohort, padded, self.spec)[: len(rows)]
 
-    def resolved(self, population, losses) -> np.ndarray:
-        return losses
+    def select(self, trials: np.ndarray) -> np.ndarray:
+        trial_losses = self._exact(trials)
+        better = trial_losses <= self.losses
+        self.population[better] = trials[better]
+        self.losses[better] = trial_losses[better]
+        return better
 
 
-class _SettledL1Scores(_ExactScores):
-    """Closed-form L1 scores for DE, settled with exact losses where they nearly tie.
+class _SettledL1Selection(_ExactSelection):
+    """``_ExactSelection`` from closed-form L1 scores, settled exactly where they nearly tie.
 
     The scores match ``_loss_batch`` to about 1e-13 relative, so every
     comparison they decide by more than ``_SETTLE_RTOL`` goes the way exact
-    losses would.  Closer calls, and the losses near the population minimum,
-    are settled with exact losses; DE then takes the same path, returns the
-    same candidate and traces the same losses as when scoring exactly.
-    Candidates with identical scores share their anchors, hence their exact
-    loss.
+    losses would; closer calls are settled with exact losses.  ``losses`` is
+    exact near the population minimum, where the trace and the final choice
+    read it, so DE takes the path of exact scoring.  Candidates with identical
+    scores share their anchors, hence their exact loss.
     """
 
-    def __init__(self, cohort: Cohort, spec: LossSpec, repaired):
-        super().__init__(cohort, spec, repaired)
+    def __init__(self, cohort: Cohort, spec: LossSpec, repaired, population: np.ndarray):
+        self.cohort, self.spec, self.repaired, self.population = cohort, spec, repaired, population
         self.scorer = cohort._l1_scorer(spec.grid_size)
-        self.known = None  # exact loss per population member, NaN where not computed
+        self.scores = self._score(population)
+        self.known = np.full(len(population), np.nan)  # exact losses, NaN where not computed
+        self.losses = self._resolved()
 
-    def score(self, population: np.ndarray) -> np.ndarray:
-        if self.known is None:  # the first call scores the initial population
-            self.known = np.full(len(population), np.nan)
-        return self.scorer.batch_loss(*_anchor_rows(self.cohort, self.repaired(population)))
-
-    def _exact(self, rows: np.ndarray) -> np.ndarray:
-        # einsum sums a one-row batch in another order than a batch of several;
-        # padding keeps the values bitwise those of batched evaluation.
-        padded = self.repaired(rows if len(rows) > 1 else np.vstack([rows, rows]))
-        return _loss_batch(self.cohort, padded, self.spec)[: len(rows)]
+    def _score(self, rows: np.ndarray) -> np.ndarray:
+        return self.scorer.batch_loss(*_anchor_rows(self.cohort, self.repaired(rows)))
 
     def _close(self, x: np.ndarray, y) -> np.ndarray:
         return np.abs(x - y) <= _SETTLE_RTOL * (np.abs(y) + self.scorer.spread)
 
-    def no_worse(self, trials, trial_losses, population, losses) -> np.ndarray:
-        better = trial_losses <= losses
-        moved = better & (trial_losses != losses)
-        close = np.nonzero((trial_losses != losses) & self._close(trial_losses, losses))[0]
+    def select(self, trials: np.ndarray) -> np.ndarray:
+        trial_scores, scores, known = self._score(trials), self.scores, self.known
+        better = trial_scores <= scores
+        moved = better & (trial_scores != scores)
+        close = np.nonzero((trial_scores != scores) & self._close(trial_scores, scores))[0]
         if close.size:
-            unknown = close[np.isnan(self.known[close])]
+            unknown = close[np.isnan(known[close])]
             if unknown.size:
-                self.known[unknown] = self._exact(population[unknown])
+                known[unknown] = self._exact(self.population[unknown])
             trial_exact = self._exact(trials[close])
-            better[close] = trial_exact <= self.known[close]
+            better[close] = trial_exact <= known[close]
             moved[close] = False
-            self.known[close] = np.where(better[close], trial_exact, self.known[close])
-        self.known[moved] = np.nan
+            known[close] = np.where(better[close], trial_exact, known[close])
+        known[moved] = np.nan
+        self.population[better] = trials[better]
+        scores[better] = trial_scores[better]
+        self.losses = self._resolved()
         return better
 
-    def resolved(self, population, losses) -> np.ndarray:
+    def _resolved(self) -> np.ndarray:
         """Scores with exact losses in place of those near the minimum."""
-        near = self._close(losses, losses.min())
-        todo = np.nonzero(near & np.isnan(self.known))[0]
-        if todo.size:
-            have = np.nonzero(~np.isnan(self.known))[0]
-            exact = dict(zip(losses[have].tolist(), self.known[have].tolist()))
-            first = {}
-            for i in todo.tolist():
-                if losses[i] not in exact:
-                    first.setdefault(losses[i], i)
-            if first:
-                exact.update(zip(first, self._exact(population[list(first.values())]).tolist()))
-            self.known[todo] = [exact[losses[i]] for i in todo.tolist()]
-        out = losses.copy()
-        out[near] = self.known[near]
-        return out
+        scores, known = self.scores, self.known
+        near = self._close(scores, scores.min())
+        todo = np.nonzero(near & np.isnan(known))[0].tolist()
+        exact = {score: x for score, x in zip(scores.tolist(), known.tolist()) if x == x}
+        # The first member of each score not yet known, in member order.
+        new = sorted({scores[i]: i for i in reversed(todo) if scores[i] not in exact}.values())
+        if new:
+            exact.update(zip(scores[new].tolist(), self._exact(self.population[new]).tolist()))
+        known[todo] = [exact[scores[i]] for i in todo]
+        return np.where(near, known, scores)
 
 
 def differential_evolution(
@@ -740,15 +740,17 @@ def differential_evolution(
     Candidates live in the open box (a, b)^(K - #fixed); each vector is sorted
     and merged with the fixed thresholds before evaluation, which makes the
     monotonicity constraint a reparameterization rather than a penalty.
-    Under L1, candidates are scored in closed form and near-ties are settled
-    with exact losses (``_SettledL1Scores``).  Deterministic for a given seed.
+    Each generation's trials go through one ``select`` call of a selection,
+    which holds the population's losses: exact ones from ``_loss_batch``, or
+    under L1 closed-form scores with near-ties settled exactly
+    (``_SettledL1Selection``).  Deterministic for a given seed.
     """
     if spec.kind is LossKind.L2_BRAY_CURTIS:
         raise ValueError("differential evolution optimizes quantile-grid losses only")
     config = config or DEConfig()
     fixed = _normalize_fixed(fixed)
     k_free = k - len(fixed)
-    if k < 1 or k_free < 1:
+    if k_free < 1:
         raise ValueError("differential evolution needs at least one free threshold")
     domain = cohort.domain
     a, b = domain.lower, domain.upper
@@ -758,13 +760,7 @@ def differential_evolution(
     for value in fixed:
         if not domain.contains_interior(value):
             raise ValueError(f"fixed threshold {value} outside the open domain ({a}, {b})")
-
-    def repaired(population: np.ndarray) -> np.ndarray:
-        return _repair_rows(population, fixed, domain, margin)
-
-    scores = (_SettledL1Scores if spec.kind is LossKind.L1 else _ExactScores)(
-        cohort, spec, repaired
-    )
+    repaired = partial(_repair_rows, fixed=fixed, domain=domain, bump=margin)
     rng = np.random.default_rng(config.seed)
     n_pop = config.population_size_per_dim * k_free
     # Latin hypercube initialization, one stratified permutation per dimension.
@@ -773,10 +769,11 @@ def differential_evolution(
         strata = (rng.permutation(n_pop) + rng.random(n_pop)) / n_pop
         population[:, dim] = a + strata * span
     np.clip(population, lower, upper, out=population)
-    losses = scores.score(population)
-    resolved = scores.resolved(population, losses)
+    selection = (_SettledL1Selection if spec.kind is LossKind.L1 else _ExactSelection)(
+        cohort, spec, repaired, population
+    )
     evaluations = n_pop
-    trace = [(0, float(resolved.min()))]
+    trace = [(0, float(selection.losses.min()))]
 
     members = np.arange(n_pop)
     choices = np.empty((n_pop, 3), dtype=np.intp)
@@ -798,22 +795,19 @@ def differential_evolution(
         cross[members, forced] = True
         trials = np.where(cross, mutants, population)
         np.clip(trials, lower, upper, out=trials)
-        trial_losses = scores.score(trials)
+        better = selection.select(trials)
         evaluations += n_pop
-        better = scores.no_worse(trials, trial_losses, population, losses)
-        population[better] = trials[better]
-        losses[better] = trial_losses[better]
-        resolved = scores.resolved(population, losses)
-        trace.append((generation, float(resolved.min())))
+        losses = selection.losses
+        trace.append((generation, float(losses.min())))
         log.debug(
             "de generation %d: %d of %d trials accepted, best loss %r",
             generation, np.count_nonzero(better), n_pop, trace[-1][1],
         )
-        if float(resolved.std()) <= config.convergence_tol * abs(float(resolved.mean())):
+        if float(losses.std()) <= config.convergence_tol * abs(float(losses.mean())):
             stop = "converged"
             break
 
-    values = _repair_candidate(population[int(np.argmin(resolved))], fixed, domain, margin)
+    values = repaired(population[[int(np.argmin(selection.losses))]])[0]
     result = _certify(
         cohort, values, fixed, Method.DIFFERENTIAL_EVOLUTION, spec, evaluations, tuple(trace)
     )

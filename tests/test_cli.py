@@ -362,6 +362,57 @@ def _histogram_cohort(rng, shared):
     return Cohort(members), thresholds
 
 
+class TestUnreadableInputs:
+    """Configs and CSV inputs that cannot be read end with exit 2 or 3, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "evaluate"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, runner, tmp_path, command, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"k": "\xff"}')
+        result = runner.invoke(main, [command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"cannot read config file {path}" in result.output
+
+    @staticmethod
+    def run_with_csv(runner, tmp_path, where, section):
+        """Exit code and output of optimize or evaluate with the csv input ``section`` at ``where``."""
+        simulated = {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 1, "use": "empirical"}
+        if where == "input":
+            payload = {"input": section, "method": "sa", "k": 1, "grid_size": 40}
+            command = "optimize"
+        else:
+            payload = {"group_a": simulated, "group_b": simulated, where: section, "threshold_sets": [[70.0]]}
+            command = "evaluate"
+        cfg = write_config(tmp_path, "config.json", payload)
+        result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
+        return result.exit_code, result.output
+
+    @pytest.mark.parametrize("where", ["input", "group_a", "group_b"])
+    def test_path_that_is_not_a_string_is_config_error(self, runner, tmp_path, where):
+        code, output = self.run_with_csv(runner, tmp_path, where, {"kind": "csv", "path": ["x.csv"]})
+        assert code == 2, output
+        assert "input.path must be the path of a csv file, got ['x.csv']" in output
+
+    @pytest.mark.parametrize("where", ["input", "group_a", "group_b"])
+    def test_path_that_is_a_directory_is_data_error(self, runner, tmp_path, where):
+        code, output = self.run_with_csv(runner, tmp_path, where, {"kind": "csv", "path": str(tmp_path)})
+        assert code == 3, output
+        assert f"cannot read input file {tmp_path}" in output
+
+    @pytest.mark.parametrize("on_bad_row", ["error", "skip"])
+    def test_csv_structure_error_is_data_error(self, runner, tmp_path, on_bad_row):
+        data = tmp_path / "cgm.csv"
+        data.write_text(f"id,time,gl\na,0,100\na,300,{'1' * (csv.field_size_limit() + 1)}\n")
+        section = {"kind": "csv", "path": str(data), "on_bad_row": on_bad_row}
+        code, output = self.run_with_csv(runner, tmp_path, "input", section)
+        assert code == 3, output
+        assert "line 3: field larger than field limit" in output
+
+
 class TestOptimizeArtifacts:
     """The streamed artifacts are byte for byte those of the row-list writer."""
 

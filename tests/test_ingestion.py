@@ -139,6 +139,15 @@ class TestReadCsv:
             (9, "duplicate timestamp 0.0 for subject a"),
         ]
 
+    @pytest.mark.parametrize("on_bad_row", ["error", "skip"])
+    def test_csv_structure_error_names_its_line(self, tmp_path, on_bad_row):
+        path = tmp_path / "huge.csv"
+        # Line 3 holds a field longer than csv.field_size_limit(): not a bad row
+        # that can be skipped, but a file the csv module cannot parse.
+        path.write_text(f"id,time,gl\na,0,100\na,300,{'1' * (csv.field_size_limit() + 1)}\na,600,102\n")
+        with pytest.raises(ValueError, match="line 3: field larger than field limit"):
+            read_cgm_csv(path, on_bad_row=on_bad_row)
+
     def test_missing_column_fatal(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("id,when,gl\na,0,100\n")

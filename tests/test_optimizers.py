@@ -164,8 +164,7 @@ class TestL1SegmentScores:
             res = solver(cohort, k, spec, fixed)
             assert res.thresholds.thresholds == reference_search(cohort, k, spec, method, fixed)[0]
 
-    def test_de_matches_exact_scoring(self, rng, monkeypatch):
-        from optithresh import optimizers
+    def test_de_matches_exact_scoring(self, rng):
         from optithresh.histograms import EmpiricalSample
 
         domain = Domain(40.0, 400.0)
@@ -184,9 +183,7 @@ class TestL1SegmentScores:
         for cohort, k, fixed in cases:
             spec = LossSpec(LossKind.L1, 60)
             fast = differential_evolution(cohort, k, spec, fixed, config)
-            with monkeypatch.context() as patch:
-                patch.setattr(optimizers, "_SettledL1Scores", optimizers._ExactScores)
-                exact = differential_evolution(cohort, k, spec, fixed, config)
+            exact, _ = reference_de(cohort, k, spec, fixed, config)
             assert fast.thresholds == exact.thresholds
             assert fast.loss == exact.loss
             assert fast.trace == exact.trace
@@ -564,12 +561,15 @@ class TestDifferentialEvolution:
 
 
 def reference_de(cohort, k, spec, fixed, config):
-    """Differential evolution with a loop over trials and a repair per candidate.
+    """Differential evolution as a loop over trials, each scored exactly on its own.
 
-    The solver as it was before trials were built for the whole population at
-    once; the same draws, scores and repair rule.
+    The solver's draws and repair rule, one trial at a time: every trial gets
+    its own ``_loss_batch`` call and replaces its target when its loss is no
+    worse (``<=``), the one-to-one selection of rand/1/bin.  Returns the
+    certified result and the number of trials accepted in each generation.
     """
     from optithresh import optimizers as opt
+    from optithresh.losses import _loss_batch
 
     fixed = opt._normalize_fixed(fixed)
     k_free = k - len(fixed)
@@ -579,12 +579,12 @@ def reference_de(cohort, k, spec, fixed, config):
     margin = 1e-9 * span
     lower, upper = a + margin, b - margin
 
-    def repaired(population):
-        return np.vstack([opt._repair_candidate(row, fixed, domain, margin) for row in population])
+    def loss(row):
+        # A batch of one sums in another order than a batch of several, so
+        # each candidate is scored as a batch of two copies.
+        values = opt._repair_candidate(row, fixed, domain, margin)
+        return float(_loss_batch(cohort, np.vstack([values, values]), spec)[0])
 
-    scores = (opt._SettledL1Scores if spec.kind is LossKind.L1 else opt._ExactScores)(
-        cohort, spec, repaired
-    )
     rng = np.random.default_rng(config.seed)
     n_pop = config.population_size_per_dim * k_free
     population = np.empty((n_pop, k_free))
@@ -592,10 +592,10 @@ def reference_de(cohort, k, spec, fixed, config):
         strata = (rng.permutation(n_pop) + rng.random(n_pop)) / n_pop
         population[:, dim] = a + strata * span
     np.clip(population, lower, upper, out=population)
-    losses = scores.score(population)
-    resolved = scores.resolved(population, losses)
+    losses = np.array([loss(row) for row in population])
     evaluations = n_pop
-    trace = [(0, float(resolved.min()))]
+    trace = [(0, float(losses.min()))]
+    accepted = []
     for generation in range(1, config.max_generations + 1):
         factor = rng.uniform(*config.mutation_range)
         trials = np.empty_like(population)
@@ -608,24 +608,27 @@ def reference_de(cohort, k, spec, fixed, config):
             cross[rng.integers(k_free)] = True
             trials[i] = np.where(cross, mutant, population[i])
         np.clip(trials, lower, upper, out=trials)
-        trial_losses = scores.score(trials)
+        accepted.append(0)
+        for i, trial in enumerate(trials):
+            trial_loss = loss(trial)
+            if trial_loss <= losses[i]:
+                population[i], losses[i] = trial, trial_loss
+                accepted[-1] += 1
         evaluations += n_pop
-        better = scores.no_worse(trials, trial_losses, population, losses)
-        population[better] = trials[better]
-        losses[better] = trial_losses[better]
-        resolved = scores.resolved(population, losses)
-        trace.append((generation, float(resolved.min())))
-        if float(resolved.std()) <= config.convergence_tol * abs(float(resolved.mean())):
+        trace.append((generation, float(losses.min())))
+        if float(losses.std()) <= config.convergence_tol * abs(float(losses.mean())):
             break
-    values = opt._repair_candidate(population[int(np.argmin(resolved))], fixed, domain, margin)
-    return opt._certify(
+    values = opt._repair_candidate(population[int(np.argmin(losses))], fixed, domain, margin)
+    result = opt._certify(
         cohort, values, fixed, Method.DIFFERENTIAL_EVOLUTION, spec, evaluations, tuple(trace)
     )
+    return result, accepted
 
 
 class TestDifferentialEvolutionReference:
-    """DE builds and repairs trials for the whole population, and its kernel
-    scores in blocks; neither may change a bit of the result."""
+    """DE builds, repairs and selects trials for the whole population at once,
+    and its kernel scores in blocks; none of it may change a bit of the result
+    of a loop that scores each trial exactly on its own."""
 
     @pytest.mark.parametrize("kind", [LossKind.L1, LossKind.L2])
     def test_matches_a_loop_over_trials(self, rng, monkeypatch, kind):
@@ -650,14 +653,42 @@ class TestDifferentialEvolutionReference:
             spec = LossSpec(kind, 60)
             with monkeypatch.context() as patch:
                 patch.setattr(losses, "_SCRATCH_BYTES", 1 << 60)
-                want = reference_de(cohort, k, spec, fixed, config)
+                want, _ = reference_de(cohort, k, spec, fixed, config)
             with monkeypatch.context() as patch:
                 patch.setattr(losses, "_SCRATCH_BYTES", 1)
                 got = differential_evolution(cohort, k, spec, fixed, config)
-            assert got.thresholds == want.thresholds
-            assert got.loss == want.loss
-            assert got.trace == want.trace
-            assert got.evaluations == want.evaluations
+            assert (got.thresholds, got.loss, got.trace, got.evaluations) == (
+                want.thresholds, want.loss, want.trace, want.evaluations
+            )
+
+    @pytest.mark.parametrize("kind", [LossKind.L1, LossKind.L2])
+    def test_edge_cohorts_match_a_loop_over_trials(self, kind):
+        from optithresh.histograms import EmpiricalSample
+
+        domain = Domain(40.0, 400.0)
+        cuts = np.arange(1.0, 8.0)
+        # Point masses: every member's quantile function is constant, so every
+        # candidate's L1 and L2 losses are exactly 0 and every trial wins.
+        points = Cohort([EmpiricalSample(domain, np.full(30, v)) for v in (70.0, 120.0, 250.0)])
+        # One member twice: the pair's distances stay 0 under any thresholds.
+        gen = np.random.default_rng(3)
+        members = [Histogram(Domain(0.0, 8.0), cuts, gen.dirichlet(np.ones(8))) for _ in range(4)]
+        repeated = Cohort(members + members[1:2])
+        # Each member's mass in one bin: every linearization keeps the pairwise
+        # distances exactly, so the L2 loss is exactly 0 while L1 is not.
+        one_bin = Cohort([Histogram(Domain(0.0, 8.0), cuts, np.eye(8)[j]) for j in (1, 4, 6)])
+        config = DEConfig(seed=8, max_generations=12, convergence_tol=1e-3)
+        spec = LossSpec(kind, 50)
+        for cohort, k in ((points, 2), (repeated, 2), (one_bin, 3)):
+            got = differential_evolution(cohort, k, spec, config=config)
+            want, accepted = reference_de(cohort, k, spec, (), config)
+            assert (got.thresholds, got.loss, got.trace, got.evaluations) == (
+                want.thresholds, want.loss, want.trace, want.evaluations
+            )
+            if cohort is points:
+                assert accepted == [config.population_size_per_dim * k] * len(accepted)
+            if cohort is one_bin and kind is LossKind.L2:
+                assert got.loss == 0.0 and all(loss == 0.0 for _, loss in got.trace)
 
     @pytest.mark.parametrize(
         "tol, generations, stop", [(0.0, 4, "max_generations"), (10.0, 50, "converged")]
