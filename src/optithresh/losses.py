@@ -369,24 +369,28 @@ def _pdist(x: np.ndarray, metric: str) -> np.ndarray:
 
     ``scipy.spatial.distance.pdist`` hands these metrics to the compiled
     kernels of ``scipy.spatial._distance_pybind``.  That module is loaded on
-    first use without importing the ``scipy.spatial`` package, whose KD-trees,
-    Qhull, ``scipy.sparse`` and ``scipy.linalg`` no loss needs, and is
-    registered under its own name, so a later ``import scipy.spatial`` shares
-    it.  L1 runs never get here and load no scipy.
+    first use from the ``spatial`` directory of scipy's package, found without
+    executing scipy's ``__init__`` or importing ``scipy.spatial``, whose
+    KD-trees, Qhull, ``scipy.sparse`` and ``scipy.linalg`` no loss needs.  It
+    is registered under its own name, so a later ``import scipy.spatial``
+    shares it.  L1 runs never get here and load no scipy.
     """
-    import scipy
-
     module = sys.modules.get(_DISTANCE_MODULE)
     if module is None:
-        spatial = os.path.join(scipy.__path__[0], "spatial")
-        spec = importlib.machinery.PathFinder.find_spec(_DISTANCE_MODULE, [spatial])
+        package = importlib.util.find_spec("scipy")
+        roots = package.submodule_search_locations if package else []
+        spatial = [os.path.join(root, "spatial") for root in roots]
+        spec = importlib.machinery.PathFinder.find_spec(_DISTANCE_MODULE, spatial)
         if spec is not None:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules[_DISTANCE_MODULE] = module
     kernel = getattr(module, f"pdist_{metric}", None)
     if kernel is None:
-        raise ImportError(f"scipy {scipy.__version__} has no {_DISTANCE_MODULE}.pdist_{metric}")
+        # Without scipy, version() raises PackageNotFoundError, an ImportError too.
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no {_DISTANCE_MODULE}.pdist_{metric}")
     return kernel(x)
 
 

@@ -104,8 +104,8 @@ class DEConfig:
             raise ValueError("crossover_prob must be in [0, 1]")
         if self.max_generations < 1:
             raise ValueError("max_generations must be at least 1")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be non-negative")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise ValueError(f"convergence_tol must be finite and non-negative, got {self.convergence_tol!r}")
 
 
 @dataclass(frozen=True)

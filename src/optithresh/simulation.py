@@ -10,6 +10,7 @@ thresholds and losses with standard errors.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -66,10 +67,7 @@ class MixtureSpec:
         if not base:
             raise ValueError("at least one base threshold is required")
         ThresholdSet(base).validate_for(self.domain)
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be non-negative")
-        if self.noise_truncation <= 0:
-            raise ValueError("noise_truncation must be positive")
+        _check_noise(self.noise_sd, self.noise_truncation, "noise_sd", "noise_truncation")
         gaps = np.diff(np.concatenate(([self.domain.lower], base, [self.domain.upper])))
         edge_room = min(base[0] - self.domain.lower, self.domain.upper - base[-1])
         interior = np.diff(base)
@@ -84,6 +82,8 @@ class MixtureSpec:
         if self.n_subjects < 1 or self.obs_per_subject < 1:
             raise ValueError("n_subjects and obs_per_subject must be positive")
         cuts = self.histogram_cutoffs
+        if not all(math.isfinite(c) for c in cuts):
+            raise ValueError("histogram_cutoffs must be finite")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError("histogram_cutoffs must be strictly increasing")
         if cuts and not (self.domain.lower < cuts[0] and cuts[-1] < self.domain.upper):
@@ -96,12 +96,17 @@ class MixtureSpec:
         return len(self.base_thresholds)
 
 
+def _check_noise(sd: float, bound: float, sd_name: str, bound_name: str) -> None:
+    """A finite ``sd >= 0`` and a finite ``bound > 0``, without which rejection never ends."""
+    if not (math.isfinite(sd) and sd >= 0):
+        raise ValueError(f"{sd_name} must be finite and non-negative, got {sd!r}")
+    if not (math.isfinite(bound) and bound > 0):
+        raise ValueError(f"{bound_name} must be finite and positive, got {bound!r}")
+
+
 def sample_truncated_normal(sd: float, bound: float, rng: np.random.Generator) -> float:
     """Draw from N(0, sd^2) conditioned on |draw| <= bound, by rejection."""
-    if sd < 0:
-        raise ValueError("sd must be non-negative")
-    if bound <= 0:
-        raise ValueError("bound must be positive")
+    _check_noise(sd, bound, "sd", "bound")
     if sd == 0.0:
         return 0.0
     while True:
@@ -234,10 +239,10 @@ def _method_token(method: Union[str, Method]) -> str:
 def _replication_records(spec, noise, rep, root, tokens, loss_specs, k, de_config) -> list:
     """The records of every (method, loss) pair on replication ``rep`` at noise level ``noise``.
 
-    Its cohort and DE seed are spawned from ``root`` alone, so each (noise level,
-    replication) cell is independent of the others.
+    ``spec`` is the mixture at that noise level.  Its cohort and DE seed are
+    spawned from ``root`` alone, so each (noise level, replication) cell is
+    independent of the others.
     """
-    spec = replace(spec, noise_sd=float(noise))
     cohort_seed, de_seed = root.spawn(2)
     empirical, binned = generate_cohort(spec, cohort_seed)
     de_config = replace(de_config or DEConfig(), seed=int(de_seed.generate_state(1, np.uint64)[0] >> 1))
@@ -298,12 +303,14 @@ def run_benchmark(
         if len(seed_entropy) < reps:
             raise ValueError(f"need at least {reps} seeds, got {len(seed_entropy)}")
     noise_levels = [spec.noise_sd] if noise_levels is None else list(noise_levels)
+    # Every level is validated before the first replication runs.
+    specs = [replace(spec, noise_sd=float(noise)) for noise in noise_levels]
 
     records = []
-    for noise_index, noise in enumerate(noise_levels):
+    for noise_index, (noise, level_spec) in enumerate(zip(noise_levels, specs)):
         for rep in range(reps):
             root = np.random.SeedSequence([seed_entropy[rep], noise_index])
-            records += _replication_records(spec, noise, rep, root, tokens, loss_specs, k, de_config)
+            records += _replication_records(level_spec, noise, rep, root, tokens, loss_specs, k, de_config)
     cells = {}
     for rec in records:
         cells.setdefault((rec.method, rec.loss_kind, rec.noise_sd), []).append(rec)

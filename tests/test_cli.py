@@ -460,25 +460,27 @@ print(json.dumps(report))
 """
 
 
+def fresh_interpreter(args, timeout):
+    """Run ``python args`` with this checkout's ``optithresh`` on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def fresh_cli_runs(arg_lists):
     """Run ``optithresh`` commands in one fresh interpreter.
 
     Returns its exit codes and the scipy and numpy.ma modules loaded after import and after the runs.
     """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_RUNS, json.dumps(arg_lists)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = fresh_interpreter(["-c", FRESH_RUNS, json.dumps(arg_lists)], timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestScipyImport:
-    """scipy's compiled distance kernels are loaded by the first pairwise loss, without the rest
-    of ``scipy.spatial``; L1 runs load no scipy and no numpy.ma."""
+    """scipy's compiled distance kernels are loaded by the first pairwise loss, without scipy's
+    package ``__init__`` or the rest of ``scipy.spatial``; L1 runs load no scipy and no numpy.ma."""
 
     def test_l1_runs_never_load_scipy(self, tmp_path):
         sim = TestOptimizeCommand().config(tmp_path, k=2, grid_size=40)
@@ -500,16 +502,55 @@ class TestScipyImport:
         assert all((tmp_path / name / "result.json").exists() for name in ("de", "sa", "ss", "exhaustive", "csv"))
 
     def test_l2_run_loads_scipy(self, tmp_path):
-        """An SA run under L2 and a PAA run, each in a fresh interpreter, load the kernels alone."""
+        """An SA run under L2 and a PAA run, each in a fresh interpreter, load the kernels module and
+        no scipy package, ``scipy`` itself included."""
         source = {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 3}
         for method, loss in (("sa", {"loss": "l2"}), ("paa", {})):
             payload = {"input": source, "method": method, "k": 2, "grid_size": 40, **loss}
             cfg = write_config(tmp_path, f"{method}.json", payload)
             report = fresh_cli_runs([["optimize", "--config", cfg, "--out", str(tmp_path / method)]])
-            assert report["after_import"] == [] and report["codes"] == [0], method
-            assert "scipy.spatial._distance_pybind" in report["after_runs"], method
-            for package in ("scipy.spatial", "scipy.spatial.distance", "scipy.sparse", "scipy.linalg"):
-                assert package not in report["after_runs"], (method, package)
+            assert report == {
+                "after_import": [], "codes": [0], "after_runs": ["scipy.spatial._distance_pybind"]
+            }, method
+
+
+NAN, INF = float("nan"), float("inf")
+#: Mixture settings, other config keys and the message of each non-finite optimize config.
+NON_FINITE_OPTIMIZE = {
+    "noise_sd-nan": ({"noise_sd": NAN}, {}, "noise_sd must be finite"),
+    "noise_sd-inf": ({"noise_sd": INF}, {}, "noise_sd must be finite"),
+    "noise_truncation-nan": ({"noise_sd": 2.0, "noise_truncation": NAN}, {}, "noise_truncation must be finite"),
+    "cutoff-nan": ({"histogram_cutoffs": [70.0, NAN, 250.0]}, {}, "histogram_cutoffs must be finite"),
+    "convergence_tol-nan": (
+        {},
+        {"method": "de", "de": {"convergence_tol": NAN, "max_generations": 30}},
+        "convergence_tol must be finite",
+    ),
+}
+
+
+class TestNonFiniteSettings:
+    """NaN and Infinity settings exit 2 at once, naming the setting.  Each run is a subprocess
+    with a timeout, because rejection sampling with a noise setting that is not finite would
+    never return."""
+
+    def run(self, tmp_path, args):
+        return fresh_interpreter(["-m", "optithresh.cli", *args, "--out", str(tmp_path / "out")], timeout=60)
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_OPTIMIZE))
+    def test_optimize(self, tmp_path, case):
+        mixture, overrides, message = NON_FINITE_OPTIMIZE[case]
+        payload = {
+            "input": {"kind": "simulation", "mixture": {**SMALL_MIXTURE, **mixture}, "seed": 3},
+            "method": "sa", "k": 2, "grid_size": 40, **overrides,
+        }
+        proc = self.run(tmp_path, ["optimize", "--config", write_config(tmp_path, "optimize.json", payload)])
+        assert proc.returncode == 2 and message in proc.stderr, proc.stderr
+
+    def test_simulate_noise_level(self, tmp_path):
+        payload = {"mixture": SMALL_MIXTURE, "methods": ["oracle"], "k": 3, "reps": 1, "noise_levels": [NAN]}
+        proc = self.run(tmp_path, ["simulate", "--config", write_config(tmp_path, "simulate.json", payload)])
+        assert proc.returncode == 2 and "noise_sd must be finite" in proc.stderr, proc.stderr
 
 
 class TestSimulateCommand:

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import itertools
 import json
 import os
@@ -599,7 +601,13 @@ class TestPdist:
         from optithresh import losses
 
         monkeypatch.delitem(sys.modules, losses._DISTANCE_MODULE, raising=False)
-        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        # scipy's package found in a directory without the compiled module.
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations = [str(tmp_path)]
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util, "find_spec", lambda name, *a: empty if name == "scipy" else find_spec(name, *a)
+        )
         with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no"):
             losses._pdist(np.zeros((2, 1)), "euclidean")
         assert losses._DISTANCE_MODULE not in sys.modules

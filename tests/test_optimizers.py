@@ -553,6 +553,11 @@ class TestDifferentialEvolution:
         with pytest.raises(ValueError, match="population"):
             DEConfig(population_size_per_dim=3)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_convergence_tol_validation(self, tol):
+        with pytest.raises(ValueError, match="convergence_tol must be finite and non-negative"):
+            DEConfig(convergence_tol=tol)
+
     def test_certified_loss(self, rng):
         cohort = grid_cohort(rng, n=3, n_bins=8)
         spec = LossSpec(LossKind.L2, 30)

@@ -1,6 +1,9 @@
+from math import inf, nan
+
 import numpy as np
 import pytest
 
+from optithresh import simulation
 from optithresh.histograms import Domain, ThresholdSet, quantile_grid
 from optithresh.losses import LossKind, LossSpec, evaluate_loss
 from optithresh.optimizers import exhaustive_search
@@ -14,6 +17,19 @@ from optithresh.simulation import (
 )
 
 SMALL = MixtureSpec(n_subjects=8, obs_per_subject=300)
+
+
+class BoundedDraws:
+    """A generator of standard normal draws that fails, instead of hanging, after many."""
+
+    def __init__(self, rng, limit=10_000):
+        self.rng, self.left = rng, limit
+
+    def standard_normal(self):
+        self.left -= 1
+        if self.left < 0:
+            pytest.fail("rejection sampling drew without end")
+        return self.rng.standard_normal()
 
 
 class TestTruncatedNormal:
@@ -33,6 +49,15 @@ class TestTruncatedNormal:
             sample_truncated_normal(-1.0, 30.0, rng)
         with pytest.raises(ValueError):
             sample_truncated_normal(1.0, 0.0, rng)
+
+    @pytest.mark.parametrize(
+        "sd, bound, name",
+        [(nan, 30.0, "sd"), (inf, 30.0, "sd"), (-inf, 30.0, "sd"), (1.0, nan, "bound"), (1.0, inf, "bound"),
+         (0.0, nan, "bound")],
+    )
+    def test_rejects_non_finite_parameters(self, rng, sd, bound, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            sample_truncated_normal(sd, bound, BoundedDraws(rng))
 
 
 class TestDirichlet:
@@ -69,6 +94,20 @@ class TestMixtureSpec:
             MixtureSpec(base_thresholds=(70.0, 120.0, 250.0), noise_truncation=30.0)
         with pytest.raises(ValueError, match="outside the domain"):
             MixtureSpec(base_thresholds=(60.0, 180.0, 250.0), noise_truncation=30.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise_sd", nan), ("noise_sd", inf), ("noise_sd", -inf), ("noise_truncation", nan),
+         ("noise_truncation", inf)],
+    )
+    def test_rejects_non_finite_noise(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MixtureSpec(**{field: value})
+
+    @pytest.mark.parametrize("cuts", [(nan,), (50.0, nan, 300.0), (50.0, 300.0, nan), (50.0, inf)])
+    def test_rejects_non_finite_cutoffs(self, cuts):
+        with pytest.raises(ValueError, match="histogram_cutoffs must be finite"):
+            MixtureSpec(histogram_cutoffs=cuts)
 
 
 class TestGenerateCohort:
@@ -179,6 +218,13 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="PAA"):
             run_benchmark(
                 SMALL, ["sa"], [LossSpec(LossKind.L2_BRAY_CURTIS)], k=2, reps=1, seeds=0
+            )
+
+    def test_rejects_a_non_finite_noise_level_before_any_replication(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_replication_records", lambda *args: pytest.fail("ran a replication"))
+        with pytest.raises(ValueError, match="noise_sd must be finite"):
+            run_benchmark(
+                SMALL, ["oracle"], [LossSpec(LossKind.L1, 50)], k=3, reps=1, seeds=0, noise_levels=[0.0, nan]
             )
 
     def test_rejects_unknown_method(self):
