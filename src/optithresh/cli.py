@@ -305,12 +305,11 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
         k_value = _integer(k_value, "k", 0)
         fixed_values = _parse_fixed(fixed if fixed is not None else config.get("fixed"))
         seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
+        de_config = _de_config(config.get("de", {}), seed_value)
         out_path = Path(out_dir or config.get("out", "."))
-        out_path.mkdir(parents=True, exist_ok=True)
         if "input" not in config:
             raise ConfigError("config requires an 'input' section")
         cohort = _load_input(config["input"], method_enum, out_path)
-        de_config = _de_config(config.get("de", {}), seed_value)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:
@@ -419,7 +418,6 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
     except ValueError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
-    out_path.mkdir(parents=True, exist_ok=True)
     payload = report.to_json_dict()
     payload["config"] = {
         "config_file": str(config_path) if config_path else None,
@@ -475,8 +473,8 @@ def cmd_evaluate(config_path, grid_size, out_dir):
             raise ConfigError(
                 "provide either 'group_a' and 'group_b', or a single 'input' with a label_column"
             )
+        grid = _grid_size(grid_size, config)
         out_path = Path(out_dir or config.get("out", "."))
-        out_path.mkdir(parents=True, exist_ok=True)
         if labeled_single:
             single = config["input"]
             if not (isinstance(single, dict) and single.get("kind") == "csv" and "label_column" in single):
@@ -502,7 +500,6 @@ def cmd_evaluate(config_path, grid_size, out_dir):
                     raise ConfigError(f"config requires {key!r}")
             cohort_a = _load_input(config["group_a"], Method.DIFFERENTIAL_EVOLUTION, out_path)
             cohort_b = _load_input(config["group_b"], Method.DIFFERENTIAL_EVOLUTION, out_path)
-        grid = _grid_size(grid_size, config)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .histograms import Histogram, ThresholdSet, soft_amalgamate
-from .losses import Cohort, LossKind, LossSpec, loss_l1, loss_l2
+from .histograms import ThresholdSet
+from .losses import Cohort, LossKind, LossSpec, _anchor_rows, loss_l1, loss_l2
 
 __all__ = [
     "TIRSummary",
@@ -74,19 +74,19 @@ def tir_summary(cohort: Cohort, t: ThresholdSet) -> TIRSummary:
     bins); sample members are counted directly, with ranges closed on the left.
     """
     t.validate_for(cohort.domain)
-    rows = []
-    for member in cohort.members:
-        if isinstance(member, Histogram):
-            rows.append(soft_amalgamate(member, t).masses)
-        else:
-            counts = np.searchsorted(member.sorted_values, t.values, side="left")
-            bounds = np.concatenate(([0], counts, [member.n]))
-            rows.append(np.diff(bounds) / member.n)
+    if cohort.kind == "histogram":
+        # Soft amalgamation's masses are the steps of the kernel's anchor probabilities.
+        per_subject = np.diff(_anchor_rows(cohort, t.values[None])[0][0], axis=1)
+    else:
+        values = cohort._anchor_tables().values
+        counts = values.search(t.values, "left") - values.starts[:, None]
+        bounds = np.column_stack((np.zeros_like(values.sizes), counts, values.sizes))
+        per_subject = np.diff(bounds, axis=1) / values.sizes[:, None]
     ids = tuple(
         member.subject_id if member.subject_id is not None else str(i)
         for i, member in enumerate(cohort.members)
     )
-    return TIRSummary(t, np.vstack(rows), _range_labels(t), ids)
+    return TIRSummary(t, per_subject, _range_labels(t), ids)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from math import isfinite, nan
+from math import inf, isfinite, nan
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence, Union
@@ -101,8 +101,10 @@ class InclusionPolicy:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
-        if not 0 < self.short_days <= self.mid_days:
-            raise ValueError("short_days must be positive and at most mid_days")
+        if not 0 < self.short_days <= self.mid_days < inf:
+            raise ValueError("short_days must be positive and at most mid_days, which must be finite")
+        if not 0 < self.long_window_days < inf:
+            raise ValueError(f"long_window_days must be finite and positive, got {self.long_window_days!r}")
 
 
 @dataclass(frozen=True)

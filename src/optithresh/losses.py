@@ -30,6 +30,7 @@ from .histograms import (
     QuantileGrid,
     ThresholdSet,
     _order_statistic_indices,
+    _threshold_positions,
     probability_grid,
 )
 
@@ -646,8 +647,6 @@ def loss_l2_braycurtis(cohort: Cohort, t: ThresholdSet) -> float:
     if cohort.shared_cutoffs is None:
         raise ValueError("Bray-Curtis loss requires a histogram cohort with shared cutoffs")
     _require_pairs(cohort.n)
-    from .histograms import _threshold_positions
-
     positions = _threshold_positions(cohort.members[0], t)
     amal = amalgamated_compositions(cohort, positions)
     diff = cohort.pairwise_base_bray_curtis() - _bray_curtis_condensed(amal)

@@ -134,27 +134,31 @@ def _normalize_fixed(fixed: FixedLike) -> tuple:
     return out
 
 
-def _fixed_positions(cutoffs: np.ndarray, fixed: tuple) -> np.ndarray:
-    if not fixed:
-        return np.empty(0, dtype=np.intp)
+# Discrete evaluation ---------------------------------------------------------
+
+
+def _grid_setup(cohort: Cohort, k: int, spec: LossSpec, fixed: FixedLike) -> tuple:
+    """(fixed, cutoffs, fixed_pos) of a grid solver: the normalised fixed
+    thresholds, the shared cutoffs it selects from and the fixed thresholds'
+    positions among them, once the instance is checked to be solvable."""
+    fixed = _normalize_fixed(fixed)
+    cutoffs = cohort.shared_cutoffs
+    if cutoffs is None:
+        raise ValueError("discrete solvers require a histogram cohort with shared cutoffs")
+    if spec.kind is not LossKind.L1:
+        _require_pairs(cohort.n)
+    if k < 0:
+        raise ValueError("K must be non-negative")
+    if k < len(fixed):
+        raise ValueError(f"K={k} is smaller than the number of fixed thresholds ({len(fixed)})")
+    if k > cutoffs.size:
+        raise ValueError(f"K={k} exceeds the {cutoffs.size} available cutoffs")
     pos = np.searchsorted(cutoffs, fixed)
     bad = (pos >= cutoffs.size) | (cutoffs[np.minimum(pos, cutoffs.size - 1)] != fixed)
     if np.any(bad):
         missing = [fixed[i] for i in np.nonzero(bad)[0]]
         raise ValueError(f"fixed thresholds {missing} are not members of the shared cutoffs")
-    return pos.astype(np.intp)
-
-
-# Discrete evaluation ---------------------------------------------------------
-
-
-def _grid_cutoffs(cohort: Cohort, spec: LossSpec) -> np.ndarray:
-    """The shared cutoffs that the grid solvers select from."""
-    if cohort.shared_cutoffs is None:
-        raise ValueError("discrete solvers require a histogram cohort with shared cutoffs")
-    if spec.kind is not LossKind.L1:
-        _require_pairs(cohort.n)
-    return cohort.shared_cutoffs
+    return fixed, cutoffs, pos.astype(np.intp)
 
 
 def _selection_cols(j: int, sel: np.ndarray) -> np.ndarray:
@@ -485,15 +489,6 @@ def _certify(cohort, values, fixed, method, spec, evaluations, trace) -> Optimiz
     )
 
 
-def _check_k(k: int, fixed: tuple, j: Optional[int] = None) -> None:
-    if k < 0:
-        raise ValueError("K must be non-negative")
-    if k < len(fixed):
-        raise ValueError(f"K={k} is smaller than the number of fixed thresholds ({len(fixed)})")
-    if j is not None and k > j:
-        raise ValueError(f"K={k} exceeds the {j} available cutoffs")
-
-
 # Solvers ----------------------------------------------------------------------
 
 
@@ -509,12 +504,8 @@ def exhaustive_search(
     Ties are broken toward the lexicographically smallest threshold vector.
     Refuses instances whose combination count exceeds ``budget``.
     """
-    fixed = _normalize_fixed(fixed)
-    cutoffs = _grid_cutoffs(cohort, spec)
-    j = cutoffs.size
-    _check_k(k, fixed, j)
-    fixed_pos = _fixed_positions(cutoffs, fixed)
-    free = np.flatnonzero(~np.isin(np.arange(j), fixed_pos))
+    fixed, cutoffs, fixed_pos = _grid_setup(cohort, k, spec, fixed)
+    free = np.flatnonzero(~np.isin(np.arange(cutoffs.size), fixed_pos))
     n_free = k - len(fixed)
     n_combos = math.comb(free.size, n_free)
     if n_combos > budget:
@@ -548,11 +539,9 @@ def stepwise_aggregation(
 ) -> OptimizationResult:
     """Greedy backward elimination: repeatedly remove the threshold whose
     removal minimizes the loss, until K thresholds remain."""
-    fixed = _normalize_fixed(fixed)
-    cutoffs = _grid_cutoffs(cohort, spec)
-    _check_k(k, fixed, cutoffs.size)
+    fixed, cutoffs, fixed_pos = _grid_setup(cohort, k, spec, fixed)
     scan = _SelectionScan(cohort, spec, np.arange(cutoffs.size, dtype=np.intp))
-    sel, trace, evaluations = _greedy(scan, k, _fixed_positions(cutoffs, fixed))
+    sel, trace, evaluations = _greedy(scan, k, fixed_pos)
     return _certify(
         cohort, cutoffs[sel], fixed, Method.STEPWISE_AGGREGATION, spec, evaluations, trace
     )
@@ -562,10 +551,7 @@ def stepwise_splitting(
     cohort: Cohort, k: int, spec: LossSpec, fixed: FixedLike = None
 ) -> OptimizationResult:
     """Greedy forward selection: repeatedly add the loss-minimizing threshold."""
-    fixed = _normalize_fixed(fixed)
-    cutoffs = _grid_cutoffs(cohort, spec)
-    _check_k(k, fixed, cutoffs.size)
-    fixed_pos = _fixed_positions(cutoffs, fixed)
+    fixed, cutoffs, fixed_pos = _grid_setup(cohort, k, spec, fixed)
     sel, trace, evaluations = _greedy(_SelectionScan(cohort, spec, fixed_pos), k, fixed_pos)
     return _certify(
         cohort, cutoffs[sel], fixed, Method.STEPWISE_SPLITTING, spec, evaluations, trace
@@ -678,15 +664,16 @@ class _SettledL1Selection(_ExactSelection):
     comparison they decide by more than ``_SETTLE_RTOL`` goes the way exact
     losses would; closer calls are settled with exact losses.  ``losses`` is
     exact near the population minimum, where the trace and the final choice
-    read it, so DE takes the path of exact scoring.  Candidates with identical
-    scores share their anchors, hence their exact loss.
+    read it, so DE takes the path of exact scoring.  Those exact losses are
+    one memo, recomputed only when the near-minimum members or their scores
+    change: a trial with its target's very score keeps its target's loss.
     """
 
     def __init__(self, cohort: Cohort, spec: LossSpec, repaired, population: np.ndarray):
         self.cohort, self.spec, self.repaired, self.population = cohort, spec, repaired, population
         self.scorer = cohort._l1_scorer(spec.grid_size)
         self.scores = self._score(population)
-        self.known = np.full(len(population), np.nan)  # exact losses, NaN where not computed
+        self._memo = (None, None)  # (near-minimum indices and scores, their exact losses)
         self.losses = self._resolved()
 
     def _score(self, rows: np.ndarray) -> np.ndarray:
@@ -696,19 +683,11 @@ class _SettledL1Selection(_ExactSelection):
         return np.abs(x - y) <= _SETTLE_RTOL * (np.abs(y) + self.scorer.spread)
 
     def select(self, trials: np.ndarray) -> np.ndarray:
-        trial_scores, scores, known = self._score(trials), self.scores, self.known
+        trial_scores, scores = self._score(trials), self.scores
         better = trial_scores <= scores
-        moved = better & (trial_scores != scores)
         close = np.nonzero((trial_scores != scores) & self._close(trial_scores, scores))[0]
         if close.size:
-            unknown = close[np.isnan(known[close])]
-            if unknown.size:
-                known[unknown] = self._exact(self.population[unknown])
-            trial_exact = self._exact(trials[close])
-            better[close] = trial_exact <= known[close]
-            moved[close] = False
-            known[close] = np.where(better[close], trial_exact, known[close])
-        known[moved] = np.nan
+            better[close] = self._exact(trials[close]) <= self._exact(self.population[close])
         self.population[better] = trials[better]
         scores[better] = trial_scores[better]
         self.losses = self._resolved()
@@ -716,16 +695,13 @@ class _SettledL1Selection(_ExactSelection):
 
     def _resolved(self) -> np.ndarray:
         """Scores with exact losses in place of those near the minimum."""
-        scores, known = self.scores, self.known
-        near = self._close(scores, scores.min())
-        todo = np.nonzero(near & np.isnan(known))[0].tolist()
-        exact = {score: x for score, x in zip(scores.tolist(), known.tolist()) if x == x}
-        # The first member of each score not yet known, in member order.
-        new = sorted({scores[i]: i for i in reversed(todo) if scores[i] not in exact}.values())
-        if new:
-            exact.update(zip(scores[new].tolist(), self._exact(self.population[new]).tolist()))
-        known[todo] = [exact[scores[i]] for i in todo]
-        return np.where(near, known, scores)
+        near = np.nonzero(self._close(self.scores, self.scores.min()))[0]
+        key = (near.tobytes(), self.scores[near].tobytes())
+        if key != self._memo[0]:
+            self._memo = (key, self._exact(self.population[near]))
+        losses = self.scores.copy()
+        losses[near] = self._memo[1]
+        return losses
 
 
 def differential_evolution(
@@ -824,12 +800,10 @@ def paa_baseline(cohort: Cohort, k: int, fixed: FixedLike = None) -> Optimizatio
     The reported loss is the Bray-Curtis objective itself and is not comparable
     to the quantile-grid losses.
     """
-    fixed = _normalize_fixed(fixed)
     spec = LossSpec(LossKind.L2_BRAY_CURTIS)
-    cutoffs = _grid_cutoffs(cohort, spec)
-    _check_k(k, fixed, cutoffs.size)
+    fixed, cutoffs, fixed_pos = _grid_setup(cohort, k, spec, fixed)
     scan = _BrayCurtisRemovalScan(cohort, np.arange(cutoffs.size, dtype=np.intp))
-    sel, trace, evaluations = _greedy(scan, k, _fixed_positions(cutoffs, fixed))
+    sel, trace, evaluations = _greedy(scan, k, fixed_pos)
     return _certify(cohort, cutoffs[sel], fixed, Method.PAA, spec, evaluations, trace)
 
 

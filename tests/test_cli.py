@@ -546,11 +546,68 @@ class TestNonFiniteSettings:
         }
         proc = self.run(tmp_path, ["optimize", "--config", write_config(tmp_path, "optimize.json", payload)])
         assert proc.returncode == 2 and message in proc.stderr, proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_noise_level(self, tmp_path):
         payload = {"mixture": SMALL_MIXTURE, "methods": ["oracle"], "k": 3, "reps": 1, "noise_levels": [NAN]}
         proc = self.run(tmp_path, ["simulate", "--config", write_config(tmp_path, "simulate.json", payload)])
         assert proc.returncode == 2 and "noise_sd must be finite" in proc.stderr, proc.stderr
+
+
+class TestConfigErrorsWriteNothing:
+    """A config error exits 2 before any file is written, even for csv inputs, whose
+    ingest sidecar is written once the input is read."""
+
+    def csv_path(self, tmp_path):
+        rows = ["id,time,gl"] + [f"{s},{i * 300},{b + i % 7}" for s, b in (("a", 100), ("b", 180)) for i in range(60)]
+        data = tmp_path / "cgm.csv"
+        data.write_text("\n".join(rows) + "\n")
+        return str(data)
+
+    def optimize(self, runner, tmp_path, **overrides):
+        payload = {"input": {"kind": "csv", "path": self.csv_path(tmp_path)}, "method": "de", "k": 1,
+                   "grid_size": 40, **overrides}
+        cfg = write_config(tmp_path, "optimize.json", payload)
+        return runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    def test_bad_de_section_with_csv_input(self, runner, tmp_path):
+        result = self.optimize(runner, tmp_path, de={"crossover_prob": 7})
+        assert result.exit_code == 2 and "invalid de section: crossover_prob" in result.output, result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "inclusion, field",
+        [
+            ({"long_window_days": NAN}, "long_window_days"),
+            ({"long_window_days": -5}, "long_window_days"),
+            ({"long_window_days": INF}, "long_window_days"),
+            ({"mid_days": INF}, "mid_days"),
+            ({"short_days": NAN}, "short_days"),
+        ],
+    )
+    def test_bad_inclusion_names_the_field(self, runner, tmp_path, inclusion, field):
+        source = {"kind": "csv", "path": self.csv_path(tmp_path), "inclusion": inclusion}
+        result = self.optimize(runner, tmp_path, input=source)
+        assert result.exit_code == 2, result.output
+        assert "error: invalid input.inclusion: " in result.output and field in result.output, result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_grid_size_with_csv_groups(self, runner, tmp_path):
+        source = {"kind": "csv", "path": self.csv_path(tmp_path)}
+        payload = {"group_a": source, "group_b": source, "threshold_sets": [[70.0, 181.0]], "grid_size": 0}
+        cfg = write_config(tmp_path, "evaluate.json", payload)
+        result = runner.invoke(main, ["evaluate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2 and "grid_size" in result.output, result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_data_error_keeps_its_sidecar(self, runner, tmp_path):
+        # One late reading makes each wear about 1.2 days long and 18% complete.
+        rows = ["id,time,gl"] + [f"{s},{t},100" for s in "ab" for t in [*range(0, 18000, 300), 100000]]
+        data = tmp_path / "sparse.csv"
+        data.write_text("\n".join(rows) + "\n")
+        result = self.optimize(runner, tmp_path, input={"kind": "csv", "path": str(data)})
+        assert result.exit_code == 3 and "no subjects pass" in result.output, result.output
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["ingest_report.json"]
 
 
 class TestSimulateCommand:

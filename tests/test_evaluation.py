@@ -8,7 +8,7 @@ from optithresh.evaluation import (
     fit_univariate_logistic,
     tir_summary,
 )
-from optithresh.histograms import Domain, EmpiricalSample, ThresholdSet
+from optithresh.histograms import Domain, EmpiricalSample, Histogram, ThresholdSet, soft_amalgamate
 from optithresh.losses import Cohort, LossKind, LossSpec, evaluate_loss
 
 CGM = Domain(40.0, 401.0)
@@ -58,6 +58,60 @@ class TestTirSummary:
         a = tir_summary(hist_cohort, t).per_subject
         b = tir_summary(samp_cohort, t).per_subject
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def per_member_tir(cohort, t):
+    """Time in range one member at a time: each histogram softly amalgamated,
+    each sample counted with ranges closed on the left."""
+    rows = []
+    for member in cohort.members:
+        if isinstance(member, Histogram):
+            rows.append(soft_amalgamate(member, t).masses)
+        else:
+            counts = np.searchsorted(member.sorted_values, t.values, side="left")
+            rows.append(np.diff(np.concatenate(([0], counts, [member.n]))) / member.n)
+    return np.vstack(rows)
+
+
+def thresholds_near(rng, domain, points):
+    """Sorted distinct thresholds inside ``domain``: some of ``points``, values one ulp
+    either side of them, and uniform draws."""
+    picks = rng.choice(points, size=min(3, len(points)), replace=False)
+    steps = rng.integers(-1, 2, size=picks.size)  # one ulp down, none or one ulp up
+    near = [p if step == 0 else np.nextafter(p, step * np.inf) for p, step in zip(picks, steps)]
+    uniform = domain.lower + rng.uniform(0.0, 1.0, size=2) * (domain.upper - domain.lower)
+    values = sorted({float(v) for v in [*near, *uniform] if domain.lower < v < domain.upper})
+    return ThresholdSet(tuple(values[: rng.integers(0, len(values) + 1)]))
+
+
+class TestTirSummaryDifferential:
+    """``tir_summary`` reads the kernel's anchor tables; per member it is bitwise the
+    soft amalgamation of a histogram and the count of a sample."""
+
+    @pytest.mark.parametrize("lower", [0.0, 40.0, 1e7, -1e9, 1e12])
+    @pytest.mark.parametrize("kind", ["shared", "unshared", "sample"])
+    def test_matches_each_member_on_its_own(self, rng, lower, kind):
+        domain = Domain(lower, lower + 360.0)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            if kind == "sample":
+                members = [EmpiricalSample(domain, lower + np.round(rng.uniform(0, 360, size=40)))
+                           for _ in range(n)]
+                points = np.concatenate([m.sorted_values for m in members])
+            else:
+                shared = np.sort(rng.choice(np.arange(1.0, 360.0), size=12, replace=False))
+                members = []
+                for _ in range(n):
+                    cuts = shared if kind == "shared" else np.sort(rng.choice(np.arange(1.0, 360.0), 12, False))
+                    masses = rng.dirichlet(np.ones(13))
+                    masses[rng.random(13) < 0.3] = 0.0
+                    masses = masses / masses.sum() if masses.sum() else np.eye(13)[6]
+                    members.append(Histogram(domain, lower + cuts, masses))
+                points = np.concatenate([m.cutoffs for m in members])
+            cohort = Cohort(members)
+            t = thresholds_near(rng, domain, points)
+            got = tir_summary(cohort, t).per_subject
+            assert got.tobytes() == per_member_tir(cohort, t).tobytes(), t
 
 
 class TestLogistic:

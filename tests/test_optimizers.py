@@ -715,6 +715,58 @@ class TestDifferentialEvolutionReference:
         ]
 
 
+class TestSettledL1Selection:
+    """``_SettledL1Selection`` run beside ``_ExactSelection`` on the same trials,
+    generation by generation: the same decisions, and bitwise the same losses
+    near the population minimum, which DE's trace and final choice read."""
+
+    @pytest.mark.parametrize("case", ["histograms", "samples"])
+    def test_decides_and_reports_as_exact_selection(self, rng, case):
+        from functools import partial
+
+        from optithresh.histograms import EmpiricalSample
+        from optithresh.optimizers import _ExactSelection, _SettledL1Selection, _repair_rows
+
+        if case == "histograms":
+            members, fixed = list(grid_cohort(rng, n=4, n_bins=10).members), ()
+        else:
+            domain = Domain(40.0, 400.0)
+            members = [EmpiricalSample(domain, np.round(rng.uniform(40, 400, size=50))) for _ in range(4)]
+            fixed = (70.0,)
+        cohort = Cohort(members + members[:2])  # two members repeated
+        domain, spec = cohort.domain, LossSpec(LossKind.L1, 40)
+        width = domain.upper - domain.lower
+        margin = 1e-9 * width
+        repaired = partial(_repair_rows, fixed=fixed, domain=domain, bump=margin)
+        n_pop, k_free = 24, 2
+        start = domain.lower + rng.uniform(0.05, 0.95, (n_pop, k_free)) * width
+        start[n_pop // 2:] = start[: n_pop // 2]  # repeated rows: equal scores
+        exact = _ExactSelection(cohort, spec, repaired, start.copy())
+        settled = _SettledL1Selection(cohort, spec, repaired, start.copy())
+        moved = close_calls = 0
+        for _ in range(60):
+            population = exact.population.copy()
+            # Trials equal to their targets, copies of other members, and steps
+            # from tiny (close calls) to large.
+            scale = rng.choice([0.0, 1e-13, 1e-11, 1e-8, 1e-3, 0.1], size=(n_pop, 1))
+            trials = population + scale * width * rng.standard_normal((n_pop, k_free))
+            copies = rng.random(n_pop) < 0.2
+            trials[copies] = population[rng.integers(n_pop, size=np.count_nonzero(copies))]
+            np.clip(trials, domain.lower + margin, domain.upper - margin, out=trials)
+            scores, trial_scores = settled.scores.copy(), settled._score(trials)
+            close_calls += np.count_nonzero((trial_scores != scores) & settled._close(trial_scores, scores))
+            better = exact.select(trials.copy())
+            assert np.array_equal(settled.select(trials.copy()), better)
+            assert np.array_equal(settled.population, exact.population)
+            near = settled._close(settled.scores, settled.scores.min())
+            assert settled.losses[near].tobytes() == exact.losses[near].tobytes()
+            assert np.allclose(settled.losses, exact.losses, rtol=1e-9, atol=0.0)
+            moved += np.count_nonzero(better & (population != trials).any(axis=1))
+        assert moved > 0
+        # Sample anchors move in steps, so only histogram trials nearly tie their targets.
+        assert close_calls > 0 or case == "samples"
+
+
 def legacy_repair(free, fixed, lower, upper, bump):
     """The bump-only repair: clip, sort, push duplicates up by ``bump``."""
     fixed_set = set(fixed)
@@ -882,6 +934,49 @@ class TestPaa:
         cohort = Cohort([random_sample(rng), random_sample(rng)])
         with pytest.raises(ValueError, match="shared cutoffs"):
             paa_baseline(cohort, 1)
+
+
+#: Each invalid grid-solver input, as (cohort, K, loss kind, fixed thresholds),
+#: and its error.  Each also breaks every later check that it can, so the error
+#: shows the order of the checks.
+INVALID_GRID_INPUTS = {
+    "duplicate-fixed": ("samples", -1, LossKind.L2, (0.5, 0.5), "fixed thresholds must be distinct"),
+    "no-shared-cutoffs": (
+        "samples", -1, LossKind.L2, (0.123,), "discrete solvers require a histogram cohort with shared cutoffs"
+    ),
+    "l2-one-member": ("one", -1, LossKind.L2, (0.123,), "pairwise loss requires at least two cohort members"),
+    "k-negative": ("grid", -1, LossKind.L1, (0.123,), "K must be non-negative"),
+    "k-below-fixed": (
+        "grid", 1, LossKind.L1, (0.123, 0.456), "K=1 is smaller than the number of fixed thresholds (2)"
+    ),
+    "k-above-cutoffs": ("grid", 6, LossKind.L1, (0.123,), "K=6 exceeds the 5 available cutoffs"),
+    "fixed-not-a-cutoff": (
+        "grid", 2, LossKind.L1, (0.456, 0.123),
+        "fixed thresholds [0.123, 0.456] are not members of the shared cutoffs",
+    ),
+}
+
+GRID_SOLVERS = {
+    "exhaustive": exhaustive_search,
+    "sa": stepwise_aggregation,
+    "ss": stepwise_splitting,
+    # PAA has its own objective, a pairwise one, whatever the loss kind.
+    "paa": lambda cohort, k, spec, fixed: paa_baseline(cohort, k, fixed),
+}
+
+
+class TestGridSolverChecks:
+    @pytest.mark.parametrize("case", sorted(INVALID_GRID_INPUTS))
+    @pytest.mark.parametrize("solver", sorted(GRID_SOLVERS))
+    def test_invalid_input_raises_the_first_failed_check(self, rng, solver, case):
+        from conftest import random_sample
+
+        grid = grid_cohort(rng, n=3, n_bins=6)  # 5 cutoffs, none at 0.123 or 0.456
+        cohorts = {"grid": grid, "one": Cohort(grid.members[:1]), "samples": Cohort([random_sample(rng)])}
+        name, k, kind, fixed, message = INVALID_GRID_INPUTS[case]
+        with pytest.raises(ValueError) as raised:
+            GRID_SOLVERS[solver](cohorts[name], k, LossSpec(kind, 20), fixed)
+        assert type(raised.value) is ValueError and str(raised.value) == message
 
 
 class TestOptimizeDispatcher:
