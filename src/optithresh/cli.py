@@ -74,8 +74,8 @@ def _load_config(path) -> dict:
     return config
 
 
-def _mixture_spec(section: dict) -> MixtureSpec:
-    _check_keys(section, set(MixtureSpec.__dataclass_fields__), "input.mixture")
+def _mixture_spec(section: dict, context: str = "input.mixture") -> MixtureSpec:
+    _check_keys(section, set(MixtureSpec.__dataclass_fields__), context)
     kwargs = dict(section)
     try:
         if "domain" in kwargs:
@@ -86,7 +86,7 @@ def _mixture_spec(section: dict) -> MixtureSpec:
                 kwargs[key] = tuple(kwargs[key])
         return MixtureSpec(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid input.mixture: {exc}")
+        raise ConfigError(f"invalid {context}: {exc}")
 
 
 def _de_config(section: dict, seed) -> DEConfig:
@@ -105,76 +105,92 @@ def _de_config(section: dict, seed) -> DEConfig:
         raise ConfigError(f"invalid de section: {exc}")
 
 
-def _load_input(section: dict, method: Method, out_dir: Path):
-    """Build the cohort named by an input section.
+def _load_input(section, method: Method, out_dir: Path):
+    """The cohort of ``optimize``'s input section; a csv input writes its sidecar."""
+    return _load_inputs({"input": section}, method, out_dir)["input"][0]
+
+
+def _input_loader(section, method: Method, context: str, labelled: bool):
+    """Check the input section ``context``; returns load() -> (cohort, IngestResult, sidecar).
 
     Simulation inputs expose the empirical cohort to continuous solvers and the
-    binned cohort to discrete ones (overridable with "use"); CSV inputs yield
-    integer histograms of the kept subjects and write an ingest sidecar.
+    binned cohort to discrete ones (overridable with "use"), with no result or
+    sidecar.  CSV inputs yield integer histograms of the kept subjects (None if
+    none is kept); ``labelled`` ones also read their label column.
     """
     if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError('input must be an object with a "kind" of "simulation" or "csv"')
+        raise ConfigError(f'{context} must be an object with a "kind" of "simulation" or "csv"')
     kind = section["kind"]
     if kind == "simulation":
-        _check_keys(section, {"kind", "mixture", "seed", "use"}, "input")
-        spec = _mixture_spec(section.get("mixture", {}))
-        seed = _integer(section.get("seed", 0), "input.seed", 0)
-        empirical, binned = generate_cohort(spec, seed)
+        _check_keys(section, {"kind", "mixture", "seed", "use"}, context)
+        spec = _mixture_spec(section.get("mixture", {}), f"{context}.mixture")
+        seed = _integer(section.get("seed", 0), f"{context}.seed", 0)
         use = section.get("use", "auto")
         if use not in ("auto", "empirical", "binned"):
-            raise ConfigError('input.use must be "auto", "empirical" or "binned"')
+            raise ConfigError(f'{context}.use must be "auto", "empirical" or "binned"')
         if use == "auto":
             use = "empirical" if method is Method.DIFFERENTIAL_EVOLUTION else "binned"
-        return empirical if use == "empirical" else binned
-    if kind == "csv":
-        _check_keys(section, {"kind", "path", "columns", "on_bad_row", "inclusion"}, "input")
-        members, _ = _read_csv_input(section, out_dir)
-        return Cohort(members)
-    raise ConfigError(f"unknown input kind {kind!r}")
-
-
-def _read_csv_input(section: dict, out_dir: Path, label_column=None):
-    """Histograms of the kept subjects of a csv input and its IngestResult; writes the sidecar."""
-    if not isinstance(section.get("path"), str):
-        raise ConfigError(f"input.path must be the path of a csv file, got {section.get('path')!r}")
+        return lambda: (generate_cohort(spec, seed)[use == "binned"], None, None)
+    if kind != "csv":
+        raise ConfigError(f"unknown {context} kind {kind!r}")
+    keys = {"kind", "path", "columns", "on_bad_row", "inclusion"} | ({"label_column"} if labelled else set())
+    _check_keys(section, keys, context)
+    path = section.get("path")
+    if not isinstance(path, str):
+        raise ConfigError(f"{context}.path must be the path of a csv file, got {path!r}")
     columns = section.get("columns", {})
-    _check_keys(columns, {"id", "time", "value"}, "input.columns")
+    _check_keys(columns, {"id", "time", "value"}, f"{context}.columns")
     schema = CsvSchema(columns.get("id", "id"), columns.get("time", "time"), columns.get("value", "gl"))
     policy_section = section.get("inclusion", {})
-    _check_keys(policy_section, set(InclusionPolicy.__dataclass_fields__), "input.inclusion")
+    _check_keys(policy_section, set(InclusionPolicy.__dataclass_fields__), f"{context}.inclusion")
     try:
         policy = InclusionPolicy(**policy_section)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid input.inclusion: {exc}")
+        raise ConfigError(f"invalid {context}.inclusion: {exc}")
     on_bad_row = section.get("on_bad_row", "error")
     if on_bad_row not in ("error", "skip"):
-        raise ConfigError(f"input.on_bad_row must be 'error' or 'skip', got {on_bad_row!r}")
-    try:
-        result = read_cgm_csv(section["path"], schema, on_bad_row, label_column)
-    except OSError as exc:  # missing or a directory
-        raise DataError(f"cannot read input file {section['path']}: {exc.strerror}")
-    except ValueError as exc:
-        raise DataError(str(exc))
-    decisions = result.decisions(policy)
-    kept = [s for s in result.series if decisions[s.subject_id].keep]
-    skipped = result.skipped_rows
-    log.info(
-        "ingested %s: %d rows read, %d skipped (first lines %s), %d readings clamped, "
-        "%d subjects kept, %d dropped", section["path"], sum(s.n for s in result.series) + len(skipped),
-        len(skipped), sorted(line for line, _ in skipped)[:5], sum(result.clamp_counts.values()),
-        len(kept), len(result.series) - len(kept))
-    sidecar = {
-        "clamp_counts": result.clamp_counts,
-        "skipped_rows": [{"line": line, "reason": reason} for line, reason in skipped],
-        "decisions": {
-            sid: {"keep": d.keep, "reason": d.reason, "wear_days": d.wear_days}
-            for sid, d in sorted(decisions.items())
-        },
-    }
-    _write_json(out_dir / "ingest_report.json", sidecar)
-    if not kept:
-        raise DataError("no subjects pass the inclusion criteria")
-    return [empirical_histogram(s) for s in kept], result
+        raise ConfigError(f"{context}.on_bad_row must be 'error' or 'skip', got {on_bad_row!r}")
+
+    def load():
+        try:
+            result = read_cgm_csv(path, schema, on_bad_row, section["label_column"] if labelled else None)
+        except OSError as exc:  # missing or a directory
+            raise DataError(f"cannot read input file {path}: {exc.strerror}")
+        except ValueError as exc:
+            raise DataError(str(exc))
+        decisions = result.decisions(policy)
+        kept = [s for s in result.series if decisions[s.subject_id].keep]
+        skipped = result.skipped_rows
+        log.info(
+            "ingested %s: %d rows read, %d skipped (first lines %s), %d readings clamped, "
+            "%d subjects kept, %d dropped", path, sum(s.n for s in result.series) + len(skipped),
+            len(skipped), sorted(line for line, _ in skipped)[:5], sum(result.clamp_counts.values()),
+            len(kept), len(result.series) - len(kept))
+        sidecar = {
+            "clamp_counts": result.clamp_counts,
+            "skipped_rows": [{"line": line, "reason": reason} for line, reason in skipped],
+            "decisions": {sid: {"keep": d.keep, "reason": d.reason, "wear_days": d.wear_days}
+                          for sid, d in sorted(decisions.items())},
+        }
+        return (Cohort([empirical_histogram(s) for s in kept]) if kept else None), result, sidecar
+    return load
+
+
+def _load_inputs(sections: dict, method: Method, out_dir: Path, labelled: bool = False) -> dict:
+    """(cohort, IngestResult) of each input section, by name, all checked before any is read.
+
+    Then ``ingest_report.json`` gets the sidecar of a csv ``input``, or one
+    section per csv group; an input that keeps no subject is a data error after.
+    """
+    loaders = [(name, _input_loader(section, method, name, labelled)) for name, section in sections.items()]
+    loaded = {name: load() for name, load in loaders}
+    sidecars = {name: sidecar for name, (_, _, sidecar) in loaded.items() if sidecar is not None}
+    if sidecars:
+        _write_json(out_dir / "ingest_report.json", sidecars.get("input", sidecars))
+    for name, (cohort, _, _) in loaded.items():
+        if cohort is None:
+            raise DataError(f"no subjects{'' if name == 'input' else ' in ' + name} pass the inclusion criteria")
+    return {name: (cohort, result) for name, (cohort, result, _) in loaded.items()}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -479,18 +495,16 @@ def cmd_evaluate(config_path, grid_size, out_dir):
             single = config["input"]
             if not (isinstance(single, dict) and single.get("kind") == "csv" and "label_column" in single):
                 raise ConfigError("single-input evaluation requires a csv input with label_column")
-            keys = {"kind", "path", "columns", "on_bad_row", "inclusion", "label_column"}
-            _check_keys(single, keys, "input")
-            label_column = single["label_column"]
-            members, result = _read_csv_input(single, out_path, label_column)
+            loaded = _load_inputs({"input": single}, Method.DIFFERENTIAL_EVOLUTION, out_path, labelled=True)
+            cohort, result = loaded["input"]
             if result.labels is None:
-                raise DataError(f"label column {label_column!r} not present in {single['path']}")
+                raise DataError(f"label column {single['label_column']!r} not present in {single['path']}")
             if result.label_conflict is not None:
                 raise DataError(f"subject {result.label_conflict} carries conflicting labels")
             values = sorted(set(result.labels.values()))
             if len(values) != 2:
                 raise DataError(f"label column must carry exactly two values, got {values}")
-            groups = [[m for m in members if result.labels.get(m.subject_id) == v] for v in values]
+            groups = [[m for m in cohort.members if result.labels.get(m.subject_id) == v] for v in values]
             if not all(groups):
                 raise DataError("both label groups must contain at least one kept subject")
             cohort_a, cohort_b = Cohort(groups[0]), Cohort(groups[1])
@@ -498,8 +512,8 @@ def cmd_evaluate(config_path, grid_size, out_dir):
             for key in ("group_a", "group_b"):
                 if key not in config:
                     raise ConfigError(f"config requires {key!r}")
-            cohort_a = _load_input(config["group_a"], Method.DIFFERENTIAL_EVOLUTION, out_path)
-            cohort_b = _load_input(config["group_b"], Method.DIFFERENTIAL_EVOLUTION, out_path)
+            groups = {key: config[key] for key in ("group_a", "group_b")}
+            (cohort_a, _), (cohort_b, _) = _load_inputs(groups, Method.DIFFERENTIAL_EVOLUTION, out_path).values()
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:

@@ -120,56 +120,43 @@ class Cohort:
     @property
     def integer_valued(self) -> bool:
         """True when every member is supported on integer measurement levels."""
-        if "integer_valued" not in self._cache:
-            if self.kind == "histogram":
-                ok = all(np.all(m.edges == np.floor(m.edges)) for m in self.members)
-            else:
-                ok = all(np.all(m.values == np.floor(m.values)) for m in self.members)
-            self._cache["integer_valued"] = bool(ok)
-        return self._cache["integer_valued"]
+        levels = (m.edges if self.kind == "histogram" else m.values for m in self.members)
+        return self._cached("integer_valued", lambda: all(np.all(x == np.floor(x)) for x in levels))
+
+    def _cached(self, key, build):
+        """The value under ``key``, built on first use; arrays are made read-only."""
+        if key not in self._cache:
+            value = self._cache[key] = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return self._cache[key]
 
     def quantile_matrix(self, grid_size: int) -> np.ndarray:
         """Base quantile grids of all members, stacked as an (n, M) array."""
-        key = ("qmat", grid_size)
-        if key not in self._cache:
+
+        def build():
             u = probability_grid(grid_size)
             tables = self._anchor_tables()
             if self.kind == "histogram":
-                mat = _histogram_quantiles(tables, u)
-            else:
-                values = tables.values
-                idx = _order_statistic_indices(u[None, :], values.sizes[:, None])
-                mat = values.flat[values.starts[:, None] + idx - 1]
-            mat.setflags(write=False)
-            self._cache[key] = mat
-        return self._cache[key]
+                return _histogram_quantiles(tables, u)
+            values = tables.values
+            idx = _order_statistic_indices(u[None, :], values.sizes[:, None])
+            return values.flat[values.starts[:, None] + idx - 1]
+        return self._cached(("qmat", grid_size), build)
 
     def pairwise_base_norms(self, grid_size: int) -> np.ndarray:
         """Condensed Euclidean norms between base quantile grids."""
-        key = ("pnorms", grid_size)
-        if key not in self._cache:
-            norms = _pdist(self.quantile_matrix(grid_size), "euclidean")
-            norms.setflags(write=False)
-            self._cache[key] = norms
-        return self._cache[key]
+        return self._cached(("pnorms", grid_size), lambda: _pdist(self.quantile_matrix(grid_size), "euclidean"))
 
     def compositions(self) -> np.ndarray:
         """Member mass vectors of a shared-cutoff histogram cohort, (n, J+1)."""
-        if "comps" not in self._cache:
-            if self.shared_cutoffs is None:
-                raise ValueError("compositions require a histogram cohort with shared cutoffs")
-            comps = np.vstack([m.masses for m in self.members])
-            comps.setflags(write=False)
-            self._cache["comps"] = comps
-        return self._cache["comps"]
+        if self.shared_cutoffs is None:
+            raise ValueError("compositions require a histogram cohort with shared cutoffs")
+        return self._cached("comps", lambda: np.vstack([m.masses for m in self.members]))
 
     def pairwise_base_bray_curtis(self) -> np.ndarray:
         """Condensed Bray-Curtis dissimilarities between member compositions."""
-        if "bc" not in self._cache:
-            bc = _bray_curtis_condensed(self.compositions())
-            bc.setflags(write=False)
-            self._cache["bc"] = bc
-        return self._cache["bc"]
+        return self._cached("bc", lambda: _bray_curtis_condensed(self.compositions()))
 
     # Internal anchor tables -------------------------------------------------
 
@@ -192,10 +179,7 @@ class Cohort:
         return self._cache["anchor_tables"]
 
     def _l1_scorer(self, grid_size: int) -> "_L1Scorer":
-        key = ("l1_scorer", grid_size)
-        if key not in self._cache:
-            self._cache[key] = _L1Scorer(self.quantile_matrix(grid_size))
-        return self._cache[key]
+        return self._cached(("l1_scorer", grid_size), lambda: _L1Scorer(self.quantile_matrix(grid_size)))
 
 
 class _Rows:
@@ -345,14 +329,18 @@ def _linearized_rows(p_full: np.ndarray, v_full: np.ndarray, grid_size: int) -> 
     return out.reshape(n_cand, n, grid_size)
 
 
-def _member_grids(cohort: Cohort, thresholds: np.ndarray, grid_size: int):
-    """Each member's linearized quantile grid at one threshold vector, in member order.
+def _member_blocks(p: np.ndarray, v: np.ndarray, grid_size: int):
+    """Linearized grids of one candidate's (n, K+2) anchors in member blocks under
+    ``_SCRATCH_BYTES``; rows are interpolated alone, so with one call's bits."""
+    for members in _blocks(len(p), (grid_size + p.shape[1]) * _VALUE_BYTES):
+        yield _linearized_rows(p[None, members], v[None, members], grid_size)[0]
 
-    Members are linearized in blocks under ``_SCRATCH_BYTES``.
-    """
+
+def _member_grids(cohort: Cohort, thresholds: np.ndarray, grid_size: int):
+    """Each member's linearized quantile grid at one threshold vector, in member order."""
     p_full, v_full = _anchor_rows(cohort, np.asarray(thresholds, dtype=np.float64)[None, :])
-    for members in _blocks(cohort.n, (grid_size + p_full.shape[2]) * _VALUE_BYTES):
-        yield from _linearized_rows(p_full[:, members], v_full[:, members], grid_size)[0]
+    for grids in _member_blocks(p_full[0], v_full[0], grid_size):
+        yield from grids
 
 
 def _require_pairs(n: int) -> None:

@@ -20,7 +20,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._interp import interp_rows
 from .histograms import Domain, ThresholdSet, probability_grid
 from .losses import (
     Cohort,
@@ -29,10 +28,10 @@ from .losses import (
     _VALUE_BYTES,
     _anchor_rows,
     _blocks,
-    _linearized_rows,
     _loss_batch,
     _loss_terms,
     _losses,
+    _member_blocks,
     _pair_mean,
     _pdist,
     _require_pairs,
@@ -187,6 +186,8 @@ class _SelectionScan:
     public loss of ``sel``.  L2 removal updates are kept from step to step
     while no removal changes the grids on their span; ``reuse`` counts the
     updates of the last scoring call that were kept and those computed.
+    Beyond its grids and terms, a step holds the kept updates and one
+    candidate's chord on its span; grids are linearized in member blocks.
     """
 
     def __init__(self, cohort: Cohort, spec: LossSpec, sel: np.ndarray):
@@ -214,12 +215,12 @@ class _SelectionScan:
         """Anchors, grids, loss terms and loss of the selection, from the kernel."""
         self.cols = _selection_cols(self.cutoffs.size, self.sel)
         self.p, self.v = self._p_all[:, self.cols], self._v_all[:, self.cols]
-        grids = _linearized_rows(self.p[None], self.v[None], self.spec.grid_size)
-        terms = _loss_terms(self.cohort, grids, self.spec.kind)
+        grids = np.concatenate(list(_member_blocks(self.p, self.v, self.spec.grid_size)))
+        terms = _loss_terms(self.cohort, grids[None], self.spec.kind)
         self.loss = float(_losses(self.cohort, terms, self.spec)[0])
         # Under L1 the terms are the summed squared error; under L2 the
         # condensed squared distances between the grids.
-        self.grids, self.terms = grids[0], terms[0]
+        self.grids, self.terms = grids, terms[0]
 
     def selection_losses(self, sel: np.ndarray) -> np.ndarray:
         """Losses of the (C, K) selections ``sel``, under L2 bitwise those of ``evaluate_loss``."""
@@ -272,8 +273,9 @@ class _SelectionScan:
         its neighbours' extreme anchor probabilities; one without such points
         keeps the current loss.  The others add their update Δ to the current
         terms.  Δ depends on the candidate's anchors and on the grids on its
-        span only, so it is kept until a removal overlaps that span, and only
-        the candidates without one pay for the chords of ``_chord_changes``.
+        span only, so it is kept until a removal overlaps that span.  A
+        candidate without one takes its chord and the centred grids on its
+        span only, from one vector of column means per call.
         """
         lo, hi = self._spans(pos)
         out = np.full(pos.size, self.loss)
@@ -283,7 +285,7 @@ class _SelectionScan:
         kept, self._updates = self._updates, {}
         reused = sum(key in kept for key in keys)
         self.reuse = (reused, len(keys) - reused)
-        changes = centred = None
+        means = self.grids.mean(axis=0) if reused < len(keys) else None
         # A row is the block's updated distances plus the temporary of ``_losses``.
         for block in _blocks(todo.size, 2 * self.terms.nbytes):
             rows = todo[block]
@@ -292,60 +294,51 @@ class _SelectionScan:
                 k, span = int(pos[c]) + 1, slice(key[3], key[4])
                 update = kept.get(key)
                 if update is None:
-                    if changes is None:
-                        changes, centred = self._chord_changes()
-                    d = self._removal_change(changes, k, span)
-                    update = self._removal_update(d, centred[:, span])
+                    update = self._removal_update(self._removal_change(k, span), span, means)
                 self._updates[key] = update
                 delta, scale = update
                 np.add(self.terms, delta, out=sq[row])
                 if self._cancels(sq[row], scale):
-                    if changes is None:
-                        changes, centred = self._chord_changes()
                     grids = self.grids.copy()
-                    grids[:, span] += self._removal_change(changes, k, span)
+                    grids[:, span] += self._removal_change(k, span)
                     sq[row] = _pdist(grids, "sqeuclidean")
             np.maximum(sq, 0.0, out=sq)
             out[rows] = _losses(self.cohort, sq, self.spec)
         return out
 
-    def _chord_changes(self) -> tuple:
-        """Chord minus grid for removing any anchor, and 2·(grids − column mean).
+    def _removal_change(self, k: int, span: slice) -> np.ndarray:
+        """d: each member's grid change on columns ``span`` once anchor ``k`` is removed.
 
-        Removing anchor k replaces each member's grid strictly between its
-        anchors k − 1 and k + 1 by their chord, which is the curve through
-        every other anchor there: through the even anchors for odd k, the odd
-        ones for even k.  Two ``interp_rows`` calls thus give every
-        candidate's new values.
+        Strictly between its anchors k − 1 and k + 1 a member's new grid is
+        their chord, computed in the operation order of ``_interp._interpolate``
+        and so bitwise the kernel's; elsewhere the grid does not change.
         """
-        last = self.p.shape[1] - 1
-        changes = []
-        for first in (1, 2):  # the chords used by even, then odd anchors
-            keep = np.r_[0, first:last:2, last]
-            chord = interp_rows(self.p[:, keep], self.v[:, keep], self.u)
-            changes.append(np.subtract(chord, self.grids, out=chord))
-        centred = self.grids - self.grids.mean(axis=0)
-        centred *= 2.0
-        return changes, centred
-
-    def _removal_change(self, changes: list, k: int, span: slice) -> np.ndarray:
-        """d: each member's grid change on columns ``span`` once anchor ``k`` is removed,
-        the chord minus the grid strictly between its anchors k − 1 and k + 1."""
         us = self.u[span]
-        inside = (us > self.p[:, k - 1, None]) & (us < self.p[:, k + 1, None])
-        return np.where(inside, changes[k % 2][:, span], 0.0)
+        lo_p, hi_p = self.p[:, k - 1, None], self.p[:, k + 1, None]
+        lo_v, hi_v = self.v[:, k - 1, None], self.v[:, k + 1, None]
+        # Members whose anchors k ± 1 tie divide by zero; nothing lies between them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chord = (us - lo_p) / (hi_p - lo_p)
+            chord *= hi_v - lo_v
+            chord += lo_v
+            np.clip(chord, lo_v, hi_v, out=chord)
+            chord -= self.grids[:, span]
+        np.copyto(chord, 0.0, where=(us <= lo_p) | (us >= hi_p))
+        return chord
 
-    def _removal_update(self, d: np.ndarray, centred: np.ndarray) -> tuple:
-        """(Δ, scale): the change of the condensed squared distances for grid change ``d``.
+    def _removal_update(self, d: np.ndarray, span: slice, means: np.ndarray) -> tuple:
+        """(Δ, scale): the change of the condensed squared distances for grid change ``d``
+        on columns ``span``, given the column ``means`` of the grids.
 
-        With s = d + ``centred``, where ``centred`` is 2·(old − column mean)
-        on the same columns, the change of a squared distance is
-        Δ_ij = Σ (d_i − d_j)(s_i − s_j) = (X_ii + X_jj) − (X_ij + X_ji) for
-        X = d·sᵀ.  Centring ``old`` before adding d keeps s small on domains
-        far from zero.  ``scale`` bounds the terms that cancel:
-        |X_ij| <= |d_i|·|s_j|.
+        With s = d + 2·(old − column mean) on those columns, the change of a
+        squared distance is Δ_ij = Σ (d_i − d_j)(s_i − s_j) = (X_ii + X_jj) −
+        (X_ij + X_ji) for X = d·sᵀ.  Centring ``old`` before adding d keeps s
+        small on domains far from zero.  ``scale`` bounds the terms that
+        cancel: |X_ij| <= |d_i|·|s_j|.
         """
-        s = d + centred
+        s = self.grids[:, span] - means[span]
+        s *= 2.0
+        s += d
         x = d @ s.T
         r = x.diagonal()
         delta = np.add.outer(r, r)

@@ -395,7 +395,7 @@ class TestUnreadableInputs:
     def test_path_that_is_not_a_string_is_config_error(self, runner, tmp_path, where):
         code, output = self.run_with_csv(runner, tmp_path, where, {"kind": "csv", "path": ["x.csv"]})
         assert code == 2, output
-        assert "input.path must be the path of a csv file, got ['x.csv']" in output
+        assert f"{where}.path must be the path of a csv file, got ['x.csv']" in output
 
     @pytest.mark.parametrize("where", ["input", "group_a", "group_b"])
     def test_path_that_is_a_directory_is_data_error(self, runner, tmp_path, where):
@@ -608,6 +608,76 @@ class TestConfigErrorsWriteNothing:
         result = self.optimize(runner, tmp_path, input={"kind": "csv", "path": str(data)})
         assert result.exit_code == 3 and "no subjects pass" in result.output, result.output
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["ingest_report.json"]
+
+
+class TestEvaluateCsvGroups:
+    """Two csv groups: both sections are checked before either file is read, and one
+    ``ingest_report.json`` holds a section per csv group."""
+
+    @staticmethod
+    def group(tmp_path, prefix, n, stamps=tuple(range(0, 18000, 300))):
+        rows = ["id,time,gl"] + [f"{prefix}{s},{t},{100 + 40 * s + t % 7}" for s in range(1, n + 1) for t in stamps]
+        path = tmp_path / f"{prefix}.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return {"kind": "csv", "path": str(path)}
+
+    @staticmethod
+    def evaluate(runner, tmp_path, group_a, group_b):
+        payload = {"group_a": group_a, "group_b": group_b, "threshold_sets": [[70.0, 181.0]], "grid_size": 40}
+        cfg = write_config(tmp_path, "evaluate.json", payload)
+        return runner.invoke(main, ["evaluate", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    def test_sidecar_holds_both_groups(self, runner, tmp_path):
+        group_a, group_b = self.group(tmp_path, "a", 2), self.group(tmp_path, "b", 3)
+        result = self.evaluate(runner, tmp_path, group_a, group_b)
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert sorted(report) == ["group_a", "group_b"]
+        assert sorted(report["group_a"]["decisions"]) == ["a1", "a2"]
+        assert sorted(report["group_b"]["decisions"]) == ["b1", "b2", "b3"]
+        # Each section is the sidecar that the same file gives as an optimize input.
+        for key, section in (("group_a", group_a), ("group_b", group_b)):
+            out = tmp_path / f"optimize-{key}"
+            cfg = write_config(tmp_path, "optimize.json", {"input": section, "method": "sa", "k": 1, "grid_size": 40})
+            assert runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)]).exit_code == 0
+            assert report[key] == json.loads((out / "ingest_report.json").read_text())
+
+    def test_simulated_group_has_no_section(self, runner, tmp_path):
+        mixture = {**SMALL_MIXTURE, "domain": [40, 401]}  # the csv histograms' domain
+        simulated = {"kind": "simulation", "mixture": mixture, "seed": 1, "use": "binned"}
+        result = self.evaluate(runner, tmp_path, simulated, self.group(tmp_path, "b", 3))
+        assert result.exit_code == 0, result.output
+        assert sorted(json.loads((tmp_path / "out" / "ingest_report.json").read_text())) == ["group_b"]
+
+    @pytest.mark.parametrize("where", ["group_a", "group_b"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"inclusion": {"mid_days": INF}}, "invalid {}.inclusion: "),
+            ({"columns": {"glucose": "gl"}}, "unknown key(s) ['glucose'] in {}.columns"),
+            ({"on_bad_row": "drop"}, "{}.on_bad_row must be 'error' or 'skip'"),
+            ({"label_column": "g"}, "unknown key(s) ['label_column'] in {}"),
+        ],
+        ids=["inclusion", "columns", "on-bad-row", "keys"],
+    )
+    def test_config_error_in_either_group_writes_nothing(self, runner, tmp_path, where, setting, message):
+        groups = {"group_a": self.group(tmp_path, "a", 2), "group_b": self.group(tmp_path, "b", 3)}
+        groups[where].update(setting)
+        result = self.evaluate(runner, tmp_path, **groups)
+        assert result.exit_code == 2, result.output
+        assert f"error: {message.format(where)}" in result.output, result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_group_without_kept_subjects_is_named_after_the_sidecar(self, runner, tmp_path):
+        # One late reading makes each wear about 1.2 days long and 18% complete.
+        sparse = self.group(tmp_path, "b", 2, stamps=(*range(0, 18000, 300), 100000))
+        result = self.evaluate(runner, tmp_path, self.group(tmp_path, "a", 2), sparse)
+        assert result.exit_code == 3, result.output
+        assert "no subjects in group_b pass the inclusion criteria" in result.output, result.output
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert sorted(report) == ["group_a", "group_b"]
+        assert not any(d["keep"] for d in report["group_b"]["decisions"].values())
+        assert all(d["keep"] for d in report["group_a"]["decisions"].values())
 
 
 class TestSimulateCommand:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,46 @@ class TestScratchBlocks:
         mb = 1 << 20
         assert peaks["_loss_batch", 45] < 10 * mb and peaks["_loss_batch", 90] < 10 * mb, peaks
         assert peaks["batch_loss", 45] < 2 * mb and peaks["batch_loss", 90] < 2 * mb, peaks
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        """Peak bytes that ``run()`` allocates above what is held when it starts."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def setting2_cohort(n, cutoffs=None):
+        """A setting-2 histogram cohort as the sim-l2 benchmark draws it."""
+        from optithresh.simulation import MixtureSpec, generate_cohort
+
+        extra = {} if cutoffs is None else {"histogram_cutoffs": cutoffs}
+        return generate_cohort(MixtureSpec(n_subjects=n, weight_scheme="setting2", noise_sd=5.0, **extra), 0)[1]
+
+    def test_l2_scan_refresh_linearizes_in_member_blocks(self):
+        # One refresh at n=200, J=179 took 3.25 MB with all members
+        # interpolated at once; member blocks take 1.17 MB.
+        from optithresh.optimizers import _SelectionScan
+
+        cohort = self.setting2_cohort(200)
+        scan = _SelectionScan(cohort, LossSpec(LossKind.L2, self.GRID), np.arange(cohort.shared_cutoffs.size))
+        assert self.traced_peak(scan._refresh) < 2 * (1 << 20)
+
+    def test_l2_aggregation_holds_one_chord_at_a_time(self):
+        # A whole L2 aggregation at n=100, J=71 took 5.03 MB with two chord
+        # matrices and the centred grids per step; 4.27 MB with each
+        # candidate's chord on its own span.
+        from optithresh.optimizers import stepwise_aggregation
+
+        cohort = self.setting2_cohort(100, tuple(float(c) for c in range(45, 400, 5)))
+        run = partial(stepwise_aggregation, cohort, 2, LossSpec(LossKind.L2, self.GRID))
+        assert self.traced_peak(run) < 4.7 * (1 << 20)
 
 
 PDIST_METRICS = ("euclidean", "sqeuclidean", "cityblock")

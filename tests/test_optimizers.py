@@ -376,6 +376,58 @@ class TestStepwise:
                 scan.remove(int(moves[np.argmin(losses)] if n % 2 else rng.choice(moves)))
         assert reused > 0
 
+    def test_sa_l2_removal_change_is_the_kernels_grid_change(self, rng):
+        # For every candidate at every step of full SA-L2 aggregations, the
+        # scan's grid change d is bitwise the kernel's grids of the reduced
+        # selection minus the current grids on the candidate's span, and the
+        # kernel's grids equal the current ones outside that span.  Dyadic
+        # masses on grids of 2^k - 1 points put anchor probabilities on grid
+        # points and tie them within and across members.
+        from optithresh.losses import _anchor_rows, _linearized_rows
+        from optithresh.optimizers import _SelectionScan
+
+        def dyadic_cohort(rng, n, n_bins, domain):
+            cuts = np.linspace(domain.lower, domain.upper, n_bins + 1)[1:-1]
+            counts = rng.multinomial(32, rng.dirichlet(np.ones(n_bins)), size=n)
+            return Cohort([Histogram(domain, cuts, c / 32) for c in counts])
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        domains = [UNIT, Domain(1e7, 1e7 + 50.0), Domain(-1e9, -1e9 + 3.0), Domain(1e12, 1e12 + 400.0)]
+        makers = [grid_cohort, grid_cohort_with_gaps, dyadic_cohort]
+        cases = []
+        for n in range(2, 31):
+            make = makers[n % 3]
+            cohort = make(rng, n=n, n_bins=int(rng.integers(4, 16)), domain=domains[n // 3 % 4])
+            if n % 5 == 0:  # a repeated member
+                cohort = Cohort(cohort.members + cohort.members[:1])
+            cases.append((cohort, int(rng.choice([15, 31, 63]) if make is dyadic_cohort else rng.integers(15, 60))))
+        # Anchors (0.19, -0.6) and (0.7 + 1 ulp, 0.5) around the grid point 0.7:
+        # there the unclipped chord between them overshoots 0.5 by one ulp.
+        straddle = Domain(-1.0, 1.0), np.array([-0.6, 0.0, 0.5])
+        masses = np.array([0.19, 0.07, 0.7000000000000001 - 0.26, 1.0 - 0.7000000000000001])
+        cases.append((Cohort([Histogram(*straddle, masses), Histogram(*straddle, np.full(4, 0.25))]), 9))
+        # Anchors (0.25, 0.2) and (0.75, 0.9), the latter on a grid point inside
+        # the span of the second member: the chord there is 0.9 - 1 ulp.
+        pinned = UNIT, np.array([0.2, 0.5, 0.9])
+        masses = np.array([[0.25, 0.25, 0.25, 0.25], [0.125, 0.125, 0.625, 0.125]])
+        cases.append((Cohort([Histogram(*pinned, m) for m in masses]), 3))
+        for cohort, grid_size in cases:
+            cutoffs = cohort.shared_cutoffs
+            scan = _SelectionScan(cohort, LossSpec(LossKind.L2, grid_size), np.arange(cutoffs.size))
+            while scan.sel.size:
+                positions = np.arange(scan.sel.size)
+                reduced = np.stack([np.delete(scan.sel, pos) for pos in positions])
+                kernel = _linearized_rows(*_anchor_rows(cohort, cutoffs[reduced]), grid_size)
+                for pos, (lo, hi) in enumerate(zip(*scan._spans(positions))):
+                    change = kernel[pos] - scan.grids
+                    d = scan._removal_change(pos + 1, slice(lo, hi))
+                    assert np.array_equal(bits(d), bits(change[:, lo:hi])), (cohort.n, grid_size, pos)
+                    outside = np.r_[0:lo, hi:grid_size]
+                    assert np.array_equal(bits(kernel[pos][:, outside]), bits(scan.grids[:, outside]))
+                scan.remove(int(np.argmin(scan.removal_losses(positions))))
+
     def test_l2_scan_mixes_insertions_and_removals(self, rng):
         from optithresh.optimizers import _SelectionScan
 
