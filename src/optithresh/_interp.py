@@ -35,7 +35,8 @@ def _interpolate(p: np.ndarray, v: np.ndarray, hi: np.ndarray, q: np.ndarray) ->
 
     ``p`` and ``v`` hold the anchors of all rows back to back, and ``hi`` is,
     for each query, the first anchor of its row whose probability is at least
-    the query (but never the row's first anchor).
+    the query (but never the row's first anchor), or (n, 1) indices of one
+    segment per row when ``q`` is a (Q,) vector shared by all rows.
     """
     hi_p = p[hi]
     lo_p = p[hi - 1]
@@ -44,9 +45,9 @@ def _interpolate(p: np.ndarray, v: np.ndarray, hi: np.ndarray, q: np.ndarray) ->
     # Exact anchor hits are left-continuous.
     pinned = hi_p == q
     # lo_v + (q - lo_p) / (hi_p - lo_p) * (hi_v - lo_v) in that order, in the
-    # gathered arrays: the widths go to hi_p and the values to lo_p.
+    # gathered arrays: widths go to hi_p, values to lo_p unless q broadcasts.
     width = np.subtract(hi_p, lo_p, out=hi_p)
-    out = np.subtract(q, lo_p, out=lo_p)
+    out = np.subtract(q, lo_p, out=lo_p if pinned.shape == lo_p.shape else None)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= width
         out *= np.subtract(hi_v, lo_v, out=width)

@@ -371,13 +371,9 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
     grid = result.loss_spec.grid_size
     u = _reprs(probability_grid(grid))
     base = cohort.quantile_matrix(grid)
-    blocks = (  # one member at a time: the file is never held as rows
-        (member.subject_id if member.subject_id is not None else str(i),
-         zip(u, _reprs(base[i]), _reprs(linearized)))
-        for i, (member, linearized) in enumerate(
-            zip(cohort.members, _member_grids(cohort, result.thresholds.values, grid))
-        )
-    )
+    members = zip(summary.subject_ids, base, _member_grids(cohort, result.thresholds.values, grid))
+    # One member at a time: the file is never held as rows.
+    blocks = ((sid, zip(u, _reprs(q), _reprs(lin))) for sid, q, lin in members)
     _write_float_rows(out_path / "linearization.csv", ["subject_id", "u", "q", "q_linearized"], blocks)
     click.echo(f"wrote {out_path / 'result.json'}")
 
@@ -514,6 +510,11 @@ def cmd_evaluate(config_path, grid_size, out_dir):
                     raise ConfigError(f"config requires {key!r}")
             groups = {key: config[key] for key in ("group_a", "group_b")}
             (cohort_a, _), (cohort_b, _) = _load_inputs(groups, Method.DIFFERENTIAL_EVOLUTION, out_path).values()
+            if (cohort_a.kind, cohort_a.domain) != (cohort_b.kind, cohort_b.domain):
+                a, b = (f"{c.kind} members on [{c.domain.lower:g}, {c.domain.upper:g}]"
+                        for c in (cohort_a, cohort_b))
+                raise DataError(f'group_a holds {a} but group_b holds {b}; set a simulated group\'s "use" '
+                                f'("binned" gives histograms) and its mixture\'s "domain" to match')
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DataError as exc:

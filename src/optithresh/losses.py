@@ -105,17 +105,14 @@ class Cohort:
     @property
     def shared_cutoffs(self) -> Optional[np.ndarray]:
         """Common cutoff grid of a histogram cohort, or None."""
-        if "shared_cutoffs" not in self._cache:
-            value = None
-            if self.kind == "histogram":
-                first = self.members[0].cutoffs
-                if all(
-                    m.cutoffs.size == first.size and np.array_equal(m.cutoffs, first)
-                    for m in self.members
-                ):
-                    value = first
-            self._cache["shared_cutoffs"] = value
-        return self._cache["shared_cutoffs"]
+
+        def build():
+            if self.kind != "histogram":
+                return None
+            first = self.members[0].cutoffs
+            same = all(m.cutoffs.size == first.size and np.array_equal(m.cutoffs, first) for m in self.members)
+            return first if same else None
+        return self._cached("shared_cutoffs", build)
 
     @property
     def integer_valued(self) -> bool:
@@ -161,22 +158,18 @@ class Cohort:
     # Internal anchor tables -------------------------------------------------
 
     def _anchor_tables(self) -> "_AnchorTables":
-        if "anchor_tables" not in self._cache:
+        def build():
             if self.kind == "histogram":
-                tables = _AnchorTables(
+                return _AnchorTables(
                     lower=np.array([m.support_lower for m in self.members]),
                     upper=np.array([m.support_upper for m in self.members]),
                     edges=_Rows([m.edges for m in self.members]),
                     cum=_Rows([m.cumulative for m in self.members]),
                 )
-            else:
-                values = _Rows([m.sorted_values for m in self.members])
-                ends = values.starts + values.sizes - 1
-                tables = _AnchorTables(
-                    lower=values.flat[values.starts], upper=values.flat[ends], values=values
-                )
-            self._cache["anchor_tables"] = tables
-        return self._cache["anchor_tables"]
+            values = _Rows([m.sorted_values for m in self.members])
+            ends = values.starts + values.sizes - 1
+            return _AnchorTables(lower=values.flat[values.starts], upper=values.flat[ends], values=values)
+        return self._cached("anchor_tables", build)
 
     def _l1_scorer(self, grid_size: int) -> "_L1Scorer":
         return self._cached(("l1_scorer", grid_size), lambda: _L1Scorer(self.quantile_matrix(grid_size)))
@@ -636,8 +629,12 @@ def loss_l2_braycurtis(cohort: Cohort, t: ThresholdSet) -> float:
         raise ValueError("Bray-Curtis loss requires a histogram cohort with shared cutoffs")
     _require_pairs(cohort.n)
     positions = _threshold_positions(cohort.members[0], t)
-    amal = amalgamated_compositions(cohort, positions)
-    diff = cohort.pairwise_base_bray_curtis() - _bray_curtis_condensed(amal)
+    return _bray_curtis_loss(cohort, _bray_curtis_condensed(amalgamated_compositions(cohort, positions)))
+
+
+def _bray_curtis_loss(cohort: Cohort, dissimilarities: np.ndarray) -> float:
+    """The compositional objective from the condensed Bray-Curtis ``dissimilarities`` of a selection."""
+    diff = cohort.pairwise_base_bray_curtis() - dissimilarities
     return float(_pair_mean(np.sum(diff * diff), cohort.n))
 
 

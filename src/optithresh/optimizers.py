@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._interp import _interpolate
 from .histograms import Domain, ThresholdSet, probability_grid
 from .losses import (
     Cohort,
@@ -28,11 +29,11 @@ from .losses import (
     _VALUE_BYTES,
     _anchor_rows,
     _blocks,
+    _bray_curtis_loss,
     _loss_batch,
     _loss_terms,
     _losses,
     _member_blocks,
-    _pair_mean,
     _pdist,
     _require_pairs,
     amalgamated_compositions,
@@ -201,10 +202,7 @@ class _SelectionScan:
         if spec.kind is LossKind.L1:
             self.costs = cohort._l1_scorer(spec.grid_size).segment_table(self._p_all, self._v_all)
         else:
-            # Condensed (triu) pair order, as flat indices into an (n, n) matrix.
-            n = cohort.n
-            self._pair_i, self._pair_j = np.triu_indices(n, k=1)
-            self._flat_ij = self._pair_i * n + self._pair_j
+            self._flat_ij = np.ravel_multi_index(np.triu_indices(cohort.n, k=1), (cohort.n, cohort.n))
         # L2 removal updates (Δ, scale), keyed by the candidate's anchor
         # columns (left, mid, right) and its span of grid columns [lo, hi).
         self._updates = {}
@@ -310,20 +308,14 @@ class _SelectionScan:
         """d: each member's grid change on columns ``span`` once anchor ``k`` is removed.
 
         Strictly between its anchors k − 1 and k + 1 a member's new grid is
-        their chord, computed in the operation order of ``_interp._interpolate``
-        and so bitwise the kernel's; elsewhere the grid does not change.
+        their chord, from ``_interp._interpolate`` on the (n, 2) table of those
+        anchors; elsewhere the grid does not change.
         """
         us = self.u[span]
-        lo_p, hi_p = self.p[:, k - 1, None], self.p[:, k + 1, None]
-        lo_v, hi_v = self.v[:, k - 1, None], self.v[:, k + 1, None]
-        # Members whose anchors k ± 1 tie divide by zero; nothing lies between them.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chord = (us - lo_p) / (hi_p - lo_p)
-            chord *= hi_v - lo_v
-            chord += lo_v
-            np.clip(chord, lo_v, hi_v, out=chord)
-            chord -= self.grids[:, span]
-        np.copyto(chord, 0.0, where=(us <= lo_p) | (us >= hi_p))
+        p, v = self.p[:, k - 1:k + 2:2], self.v[:, k - 1:k + 2:2]
+        chord = _interpolate(p.ravel(), v.ravel(), np.arange(1, p.size, 2)[:, None], us)
+        chord -= self.grids[:, span]
+        np.copyto(chord, 0.0, where=(us <= p[:, :1]) | (us >= p[:, 1:]))
         return chord
 
     def _removal_update(self, d: np.ndarray, span: slice, means: np.ndarray) -> tuple:
@@ -390,7 +382,6 @@ class _BrayCurtisRemovalScan:
 
     def __init__(self, cohort: Cohort, sel: np.ndarray):
         self.cohort = cohort
-        self.base_bc = cohort.pairwise_base_bray_curtis()
         self.sel = np.asarray(sel, dtype=np.intp)
         self._pair_i, self._pair_j = np.triu_indices(cohort.n, k=1)
         self._column_terms = {}  # (first bin, end bin) -> pair terms of that column
@@ -408,9 +399,8 @@ class _BrayCurtisRemovalScan:
         self.loss = self._loss(self.numerators)
 
     def _loss(self, numerators: np.ndarray) -> float:
-        """The objective, as ``loss_l2_braycurtis`` reduces it, from pair numerators."""
-        diff = self.base_bc - numerators / self.denominators
-        return float(_pair_mean(np.sum(diff * diff), self.cohort.n))
+        """The objective from pair numerators, reduced as ``loss_l2_braycurtis`` reduces it."""
+        return _bray_curtis_loss(self.cohort, numerators / self.denominators)
 
     def removal_losses(self, positions: np.ndarray) -> np.ndarray:
         """Losses after merging the two bins around the threshold at each of ``positions``."""
@@ -531,7 +521,11 @@ def stepwise_aggregation(
     cohort: Cohort, k: int, spec: LossSpec, fixed: FixedLike = None
 ) -> OptimizationResult:
     """Greedy backward elimination: repeatedly remove the threshold whose
-    removal minimizes the loss, until K thresholds remain."""
+    removal minimizes the loss, until K thresholds remain.
+
+    Under L2 its matrix products use as many OpenBLAS threads as the library
+    picks; ``OPENBLAS_NUM_THREADS=1`` saves CPU time for the same wall time.
+    """
     fixed, cutoffs, fixed_pos = _grid_setup(cohort, k, spec, fixed)
     scan = _SelectionScan(cohort, spec, np.arange(cutoffs.size, dtype=np.intp))
     sel, trace, evaluations = _greedy(scan, k, fixed_pos)

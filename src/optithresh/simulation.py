@@ -293,6 +293,10 @@ def run_benchmark(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     tokens = [_method_token(m) for m in methods]
+    if not tokens:
+        raise ValueError("methods must name at least one benchmark method")
+    if any(token != "paa" for token in tokens) and not loss_specs:
+        raise ValueError("losses must name at least one loss; only the PAA baseline runs without one")
     for ls in loss_specs:
         if ls.kind is LossKind.L2_BRAY_CURTIS:
             raise ValueError("the Bray-Curtis objective belongs to the PAA baseline only")
@@ -303,6 +307,8 @@ def run_benchmark(
         if len(seed_entropy) < reps:
             raise ValueError(f"need at least {reps} seeds, got {len(seed_entropy)}")
     noise_levels = [spec.noise_sd] if noise_levels is None else list(noise_levels)
+    if not noise_levels:
+        raise ValueError("noise_levels must hold at least one noise level")
     # Every level is validated before the first replication runs.
     specs = [replace(spec, noise_sd=float(noise)) for noise in noise_levels]
 

@@ -648,6 +648,19 @@ class TestEvaluateCsvGroups:
         result = self.evaluate(runner, tmp_path, simulated, self.group(tmp_path, "b", 3))
         assert result.exit_code == 0, result.output
         assert sorted(json.loads((tmp_path / "out" / "ingest_report.json").read_text())) == ["group_b"]
+        assert (tmp_path / "out" / "comparison.json").exists()
+
+    @pytest.mark.parametrize(
+        "use, held",
+        [("auto", "sample members on [40, 400]"), ("binned", "histogram members on [40, 400]")],
+    )
+    def test_simulated_beside_csv_group_needs_its_kind_and_domain(self, runner, tmp_path, use, held):
+        # The aligned config, "use": "binned" with the csv domain, is the one above.
+        simulated = {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 1, "use": use}
+        result = self.evaluate(runner, tmp_path, simulated, self.group(tmp_path, "b", 3))
+        assert result.exit_code == 3, result.output
+        assert f"group_a holds {held} but group_b holds histogram members on [40, 401]" in result.output
+        assert '"use"' in result.output and '"domain"' in result.output, result.output
 
     @pytest.mark.parametrize("where", ["group_a", "group_b"])
     @pytest.mark.parametrize(
@@ -764,6 +777,30 @@ class TestSimulateCommand:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (tmp_path / "benchmark.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"methods": []}, "methods must name at least one"),
+            ({"noise_levels": []}, "noise_levels must hold at least one"),
+            ({"methods": ["sa"], "losses": []}, "losses must name at least one loss"),
+        ],
+        ids=["no-method", "no-noise-level", "no-loss"],
+    )
+    def test_empty_request_is_config_error(self, runner, tmp_path, overrides, message):
+        cfg = write_config(tmp_path, "sim.json", {"mixture": SMALL_MIXTURE, "reps": 1, **overrides})
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_paa_alone_runs_without_losses(self, runner, tmp_path):
+        payload = {"mixture": SMALL_MIXTURE, "methods": ["paa"], "losses": [], "k": 2, "reps": 1}
+        cfg = write_config(tmp_path, "sim.json", payload)
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        rows = json.loads((tmp_path / "out" / "benchmark.json").read_text())["rows"]
+        assert [row["method"] for row in rows] == ["paa"]
 
     def test_negative_k_is_config_error(self, runner, tmp_path):
         cfg = write_config(tmp_path, "sim.json", {"mixture": SMALL_MIXTURE, "reps": 1})

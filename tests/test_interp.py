@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,27 @@ class TestInterpolate:
         got = _interpolate(flat_p, flat_v, hi, q)
         assert same_bits(got, expression_interpolate(flat_p, flat_v, hi, q))
         assert same_bits(flat_p, before[0]) and same_bits(flat_v, before[1])
+
+    @pytest.mark.parametrize("offset,width", [(0.0, 1.0), (1e7, 50.0), (-1e9, 3.0), (1e12, 400.0)])
+    def test_row_indices_broadcast_against_shared_queries(self, rng, offset, width):
+        # One segment per row at queries that all rows share, as the L2 removal
+        # chord asks: (n, 1) indices and (Q,) queries give an (n, Q) output,
+        # with pinned hits and tied anchors (0/0, then clipped) and no warning.
+        pinned = nan_before_clip = 0
+        for rows, n_anchors in [(1, 2), (5, 3), (40, 12)]:
+            p, v = tied_rows(rng, rows, n_anchors, offset, width)
+            flat_p, flat_v = p.ravel(), v.ravel()
+            q = np.sort(np.r_[rng.random(30), flat_p[flat_p > 0]])
+            hi = rng.integers(1, n_anchors, size=(rows, 1)) + np.arange(rows)[:, None] * n_anchors
+            before = [a.copy() for a in (flat_p, flat_v, hi, q)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _interpolate(flat_p, flat_v, hi, q)
+            assert got.shape == (rows, q.size)
+            assert same_bits(got, expression_interpolate(flat_p, flat_v, hi, q))
+            assert all(same_bits(a, b) for a, b in zip((flat_p, flat_v, hi, q), before))
+            pinned += int(np.sum(flat_p[hi] == q))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = (q - flat_p[hi - 1]) / (flat_p[hi] - flat_p[hi - 1])
+            nan_before_clip += int(np.sum(np.isnan(ratio)))
+        assert pinned > 0 and nan_before_clip > 0

@@ -230,3 +230,22 @@ class TestRunBenchmark:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown benchmark method"):
             run_benchmark(SMALL, ["annealing"], [LossSpec(LossKind.L1)], k=2, reps=1, seeds=0)
+
+    @pytest.mark.parametrize(
+        "methods, losses, noise_levels, message",
+        [
+            ([], [LossSpec(LossKind.L1)], None, "methods must name at least one"),
+            (["oracle"], [LossSpec(LossKind.L1)], [], "noise_levels must hold at least one"),
+            (["sa"], [], None, "losses must name at least one loss"),
+            (["paa", "ss"], [], None, "losses must name at least one loss"),
+        ],
+        ids=["no-method", "no-noise-level", "no-loss", "no-loss-beside-paa"],
+    )
+    def test_rejects_an_empty_request_before_any_cohort(self, monkeypatch, methods, losses, noise_levels, message):
+        monkeypatch.setattr(simulation, "generate_cohort", lambda *args: pytest.fail("drew a cohort"))
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(SMALL, methods, losses, k=2, reps=1, seeds=0, noise_levels=noise_levels)
+
+    def test_paa_alone_needs_no_loss(self):
+        report = run_benchmark(SMALL, ["paa"], [], k=2, reps=1, seeds=3)
+        assert [row.method for row in report.rows] == ["paa"]
