@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -39,11 +40,11 @@ EXIT_INFEASIBLE = 4
 
 
 class ConfigError(Exception):
-    pass
+    code = EXIT_CONFIG
 
 
 class DataError(Exception):
-    pass
+    code = EXIT_DATA
 
 
 def _fail(code: int, message: str) -> None:
@@ -74,40 +75,19 @@ def _load_config(path) -> dict:
     return config
 
 
-def _mixture_spec(section: dict, context: str = "input.mixture") -> MixtureSpec:
-    _check_keys(section, set(MixtureSpec.__dataclass_fields__), context)
-    kwargs = dict(section)
+def _section(cls, section, context: str, readers: dict, label: str = "", **given):
+    """A ``cls`` from the config object ``section``, whose keys must be the dataclass's fields.
+
+    ``given`` values replace the section's, and a value with a reader becomes
+    ``readers[key](value, "<context>.<key>")``.  A TypeError or ValueError of a reader
+    or of ``cls`` is the config error ``invalid <label or context>: …``.
+    """
+    _check_keys(section, set(cls.__dataclass_fields__), context)
     try:
-        if "domain" in kwargs:
-            lower, upper = (float(v) for v in kwargs["domain"])
-            kwargs["domain"] = Domain(lower, upper)
-        for key in ("base_thresholds", "histogram_cutoffs"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return MixtureSpec(**kwargs)
+        return cls(**{key: readers[key](value, f"{context}.{key}") if key in readers else value
+                      for key, value in {**section, **given}.items()})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {context}: {exc}")
-
-
-def _de_config(section: dict, seed) -> DEConfig:
-    _check_keys(section, set(DEConfig.__dataclass_fields__), "de")
-    kwargs = dict(section)
-    if seed is not None:
-        kwargs["seed"] = seed
-    for key, minimum in (("population_size_per_dim", 4), ("max_generations", 1), ("seed", 0)):
-        if key in kwargs:
-            kwargs[key] = _integer(kwargs[key], f"de.{key}", minimum)
-    try:
-        if "mutation_range" in kwargs:
-            kwargs["mutation_range"] = tuple(kwargs["mutation_range"])
-        return DEConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid de section: {exc}")
-
-
-def _load_input(section, method: Method, out_dir: Path):
-    """The cohort of ``optimize``'s input section; a csv input writes its sidecar."""
-    return _load_inputs({"input": section}, method, out_dir)["input"][0]
+        raise ConfigError(f"invalid {label or context}: {exc}")
 
 
 def _input_loader(section, method: Method, context: str, labelled: bool):
@@ -123,7 +103,7 @@ def _input_loader(section, method: Method, context: str, labelled: bool):
     kind = section["kind"]
     if kind == "simulation":
         _check_keys(section, {"kind", "mixture", "seed", "use"}, context)
-        spec = _mixture_spec(section.get("mixture", {}), f"{context}.mixture")
+        spec = _section(MixtureSpec, section.get("mixture", {}), f"{context}.mixture", {"domain": _domain})
         seed = _integer(section.get("seed", 0), f"{context}.seed", 0)
         use = section.get("use", "auto")
         if use not in ("auto", "empirical", "binned"):
@@ -135,25 +115,20 @@ def _input_loader(section, method: Method, context: str, labelled: bool):
         raise ConfigError(f"unknown {context} kind {kind!r}")
     keys = {"kind", "path", "columns", "on_bad_row", "inclusion"} | ({"label_column"} if labelled else set())
     _check_keys(section, keys, context)
-    path = section.get("path")
-    if not isinstance(path, str):
-        raise ConfigError(f"{context}.path must be the path of a csv file, got {path!r}")
+    path = _string(section.get("path"), f"{context}.path", "the path of a csv file")
     columns = section.get("columns", {})
     _check_keys(columns, {"id", "time", "value"}, f"{context}.columns")
-    schema = CsvSchema(columns.get("id", "id"), columns.get("time", "time"), columns.get("value", "gl"))
-    policy_section = section.get("inclusion", {})
-    _check_keys(policy_section, set(InclusionPolicy.__dataclass_fields__), f"{context}.inclusion")
-    try:
-        policy = InclusionPolicy(**policy_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {context}.inclusion: {exc}")
+    schema = CsvSchema(**{f"{key}_column": _string(column, f"{context}.columns.{key}")
+                          for key, column in columns.items()})
+    label = _string(section["label_column"], f"{context}.label_column") if labelled else None
+    policy = _section(InclusionPolicy, section.get("inclusion", {}), f"{context}.inclusion", {})
     on_bad_row = section.get("on_bad_row", "error")
     if on_bad_row not in ("error", "skip"):
         raise ConfigError(f"{context}.on_bad_row must be 'error' or 'skip', got {on_bad_row!r}")
 
     def load():
         try:
-            result = read_cgm_csv(path, schema, on_bad_row, section["label_column"] if labelled else None)
+            result = read_cgm_csv(path, schema, on_bad_row, label)
         except OSError as exc:  # missing or a directory
             raise DataError(f"cannot read input file {path}: {exc.strerror}")
         except ValueError as exc:
@@ -230,6 +205,11 @@ def _integer(value, name: str, minimum: int) -> int:
     return number
 
 
+#: Readers of the ``de`` section's integer settings.
+_DE_READERS = {key: partial(_integer, minimum=minimum)
+               for key, minimum in (("population_size_per_dim", 4), ("max_generations", 1), ("seed", 0))}
+
+
 def _grid_size(flag, config: dict) -> int:
     """Quantile grid size from the flag, else the config, else the default."""
     value = flag if flag is not None else config.get("grid_size", DEFAULT_GRID_SIZE)
@@ -258,6 +238,24 @@ def _parse_fixed(raw) -> tuple:
     if isinstance(raw, str):
         raw = [p for p in raw.split(",") if p.strip()]
     return _thresholds(raw, "fixed")
+
+
+def _string(value, name: str, what: str = "a string") -> str:
+    """A config setting that must be a JSON string, described as ``what`` in its error."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _out_path(flag, config: dict) -> Path:
+    """The output directory from the flag, else the config, else the working directory."""
+    return Path(flag or _string(config.get("out", "."), "out", "the path of a directory"))
+
+
+def _domain(value, name: str) -> Domain:
+    """A mixture's domain from a pair of numbers; anything else raises a TypeError or ValueError."""
+    lower, upper = (float(v) for v in value)
+    return Domain(lower, upper)
 
 
 def _list(value, name: str, numbers: bool = False) -> list:
@@ -321,15 +319,13 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
         k_value = _integer(k_value, "k", 0)
         fixed_values = _parse_fixed(fixed if fixed is not None else config.get("fixed"))
         seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
-        de_config = _de_config(config.get("de", {}), seed_value)
-        out_path = Path(out_dir or config.get("out", "."))
+        de_config = _section(DEConfig, config.get("de", {}), "de", _DE_READERS, "de section", seed=seed_value)
+        out_path = _out_path(out_dir, config)
         if "input" not in config:
             raise ConfigError("config requires an 'input' section")
-        cohort = _load_input(config["input"], method_enum, out_path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
+        cohort = _load_inputs({"input": config["input"]}, method_enum, out_path)["input"][0]
+    except (ConfigError, DataError) as exc:
+        _fail(exc.code, str(exc))
 
     try:
         result = optimize(cohort, k_value, spec, method_enum, fixed=fixed_values, config=de_config)
@@ -395,7 +391,7 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
              "grid_size", "de", "out"},
             "config",
         )
-        spec = _mixture_spec(config.get("mixture", {}))
+        spec = _section(MixtureSpec, config.get("mixture", {}), "mixture", {"domain": _domain})
         methods = _list(config.get("methods", ["oracle", "de", "sa"]), "methods")
         losses = _list(config.get("losses", ["l1"]), "losses")
         if any(token not in ("l1", "l2") for token in losses):
@@ -411,8 +407,8 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
         noise_levels = config.get("noise_levels")
         if noise_levels is not None:
             _list(noise_levels, "noise_levels", numbers=True)
-        de_config = _de_config(config.get("de", {}), None)
-        out_path = Path(out_dir or config.get("out", "."))
+        de_config = _section(DEConfig, config.get("de", {}), "de", _DE_READERS, "de section")
+        out_path = _out_path(out_dir, config)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
@@ -486,7 +482,7 @@ def cmd_evaluate(config_path, grid_size, out_dir):
                 "provide either 'group_a' and 'group_b', or a single 'input' with a label_column"
             )
         grid = _grid_size(grid_size, config)
-        out_path = Path(out_dir or config.get("out", "."))
+        out_path = _out_path(out_dir, config)
         if labeled_single:
             single = config["input"]
             if not (isinstance(single, dict) and single.get("kind") == "csv" and "label_column" in single):
@@ -515,10 +511,8 @@ def cmd_evaluate(config_path, grid_size, out_dir):
                         for c in (cohort_a, cohort_b))
                 raise DataError(f'group_a holds {a} but group_b holds {b}; set a simulated group\'s "use" '
                                 f'("binned" gives histograms) and its mixture\'s "domain" to match')
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
+    except (ConfigError, DataError) as exc:
+        _fail(exc.code, str(exc))
 
     try:
         report = compare_thresholds(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -79,8 +80,11 @@ class MixtureSpec:
             raise ValueError("noise_truncation pushes thresholds outside the domain")
         if gaps.min() <= 0:
             raise ValueError("base thresholds must be strictly increasing inside the domain")
-        if self.n_subjects < 1 or self.obs_per_subject < 1:
-            raise ValueError("n_subjects and obs_per_subject must be positive")
+        for name in ("n_subjects", "obs_per_subject"):  # a whole float, as JSON may give, becomes an int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         cuts = self.histogram_cutoffs
         if not all(math.isfinite(c) for c in cuts):
             raise ValueError("histogram_cutoffs must be finite")

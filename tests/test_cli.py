@@ -282,7 +282,7 @@ class TestOptimizeCommand:
         rng = np.random.default_rng(5)
         domain = Domain(40.0, 400.0)
         cohort = Cohort([EmpiricalSample(domain, rng.uniform(40, 400, 100), f"s{i:03d}") for i in range(200)])
-        monkeypatch.setattr(cli, "_load_input", lambda *args: cohort)
+        monkeypatch.setattr(cli, "_load_inputs", lambda *args: {"input": (cohort, None)})
         solve, held = cli.optimize, []
 
         def solve_then_reset_peak(*args, **kwargs):
@@ -424,7 +424,7 @@ class TestOptimizeArtifacts:
             cohort, thresholds = _sample_cohort(rng)
         else:
             cohort, thresholds = _histogram_cohort(rng, shared=kind == "shared-histogram")
-        monkeypatch.setattr(cli, "_load_input", lambda *args: cohort)
+        monkeypatch.setattr(cli, "_load_inputs", lambda *args: {"input": (cohort, None)})
         cfg = write_config(tmp_path, "artifacts.json", {"input": {"kind": "simulation"}, "loss": "l1"})
         out = tmp_path / "out"
         fixed = ",".join(repr(t) for t in thresholds)
@@ -460,12 +460,14 @@ print(json.dumps(report))
 """
 
 
-def fresh_interpreter(args, timeout):
-    """Run ``python args`` with this checkout's ``optithresh`` on the path."""
+def fresh_interpreter(args, timeout, cwd=None):
+    """Run ``python args`` in ``cwd`` with this checkout's ``optithresh`` on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd
+    )
 
 
 def fresh_cli_runs(arg_lists):
@@ -552,6 +554,111 @@ class TestNonFiniteSettings:
         payload = {"mixture": SMALL_MIXTURE, "methods": ["oracle"], "k": 3, "reps": 1, "noise_levels": [NAN]}
         proc = self.run(tmp_path, ["simulate", "--config", write_config(tmp_path, "simulate.json", payload)])
         assert proc.returncode == 2 and "noise_sd must be finite" in proc.stderr, proc.stderr
+
+
+class TestWrongTypedSettings:
+    """A wrong-typed ``out``, csv column name or mixture count exits 2 while the config is
+    parsed, naming the setting, with no traceback and no file written.  Each run is a fresh
+    interpreter whose working directory, the default ``out``, starts empty."""
+
+    SIMULATED = {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 1, "use": "empirical"}
+    VALID = {
+        "optimize": {"input": {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 1}, "method": "sa", "k": 1,
+                     "grid_size": 40},
+        "simulate": {"mixture": SMALL_MIXTURE, "methods": ["oracle"], "k": 3, "reps": 1, "grid_size": 40},
+        "evaluate": {"group_a": SIMULATED, "group_b": SIMULATED, "threshold_sets": [[70.0, 181.0]],
+                     "grid_size": 40},
+    }
+
+    @staticmethod
+    def stderr_of_config_error(tmp_path, command, payload):
+        work = tmp_path / "work"
+        work.mkdir()
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        proc = fresh_interpreter(["-m", "optithresh.cli", command, "--config", cfg], timeout=60, cwd=work)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert sorted(p.name for p in work.iterdir()) == []
+        return proc.stderr
+
+    @staticmethod
+    def csv_source(tmp_path, **settings):
+        rows = ["id,time,gl,group"] + [f"{s},{i * 300},{b + i % 7},{s}" for s, b in (("a", 100), ("b", 180))
+                                       for i in range(60)]
+        data = tmp_path / "cgm.csv"
+        data.write_text("\n".join(rows) + "\n")
+        return {"kind": "csv", "path": str(data), **settings}
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "evaluate"])
+    @pytest.mark.parametrize("out", [5, None, ["out"], {"dir": "out"}], ids=["number", "null", "list", "object"])
+    def test_out(self, tmp_path, command, out):
+        stderr = self.stderr_of_config_error(tmp_path, command, {**self.VALID[command], "out": out})
+        assert f"error: out must be the path of a directory, got {out!r}" in stderr, stderr
+
+    @pytest.mark.parametrize(
+        "command, where", [("optimize", "input"), ("simulate", None), ("evaluate", "group_b")]
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_subjects", 5.5), ("n_subjects", True), ("obs_per_subject", 50.5), ("obs_per_subject", True)],
+    )
+    def test_mixture_count(self, tmp_path, command, where, field, value):
+        mixture = {**SMALL_MIXTURE, field: value}
+        payload = dict(self.VALID[command])
+        if where is None:
+            payload["mixture"] = mixture
+        else:
+            payload[where] = {**payload[where], "mixture": mixture}
+        stderr = self.stderr_of_config_error(tmp_path, command, payload)
+        context = f"{where}.mixture" if where else "mixture"
+        message = f"error: invalid {context}: {field} must be an integer of at least 1, got {value!r}"
+        assert message in stderr, stderr
+
+    @pytest.mark.parametrize("key", ["id", "time", "value"])
+    @pytest.mark.parametrize(
+        "command, where",
+        [("optimize", "input"), ("evaluate", "group_a"), ("evaluate", "group_b"), ("evaluate", "input")],
+    )
+    def test_column_name(self, tmp_path, command, where, key):
+        settings = {"columns": {key: 5}}
+        if command == "evaluate" and where == "input":
+            source = self.csv_source(tmp_path, label_column="group", **settings)
+            payload = {"input": source, "threshold_sets": [[70.0]]}
+        else:
+            payload = {**self.VALID[command], where: self.csv_source(tmp_path, **settings)}
+        stderr = self.stderr_of_config_error(tmp_path, command, payload)
+        assert f"error: {where}.columns.{key} must be a string, got 5" in stderr, stderr
+
+    @pytest.mark.parametrize("column", [None, ["gl"]], ids=["null", "list"])
+    def test_column_name_of_another_type(self, tmp_path, column):
+        payload = {**self.VALID["optimize"], "input": self.csv_source(tmp_path, columns={"value": column})}
+        stderr = self.stderr_of_config_error(tmp_path, "optimize", payload)
+        assert f"error: input.columns.value must be a string, got {column!r}" in stderr, stderr
+
+    def test_label_column(self, tmp_path):
+        payload = {"input": self.csv_source(tmp_path, label_column=5), "threshold_sets": [[70.0]]}
+        stderr = self.stderr_of_config_error(tmp_path, "evaluate", payload)
+        assert "error: input.label_column must be a string, got 5" in stderr, stderr
+
+    @pytest.mark.parametrize(
+        "command, artifacts",
+        [("optimize", ["tir_summary.csv", "linearization.csv"]),
+         ("simulate", ["benchmark.csv", "replications.csv"])],
+    )
+    def test_whole_float_counts_run_as_integers(self, runner, tmp_path, command, artifacts):
+        outputs = []
+        for counts in ({"n_subjects": 6, "obs_per_subject": 200}, {"n_subjects": 6.0, "obs_per_subject": 200.0}):
+            payload = dict(self.VALID[command])
+            if command == "optimize":
+                payload["input"] = {**payload["input"], "mixture": {**SMALL_MIXTURE, **counts}}
+            else:
+                payload["mixture"] = {**SMALL_MIXTURE, **counts}
+            out = tmp_path / str(len(outputs))
+            cfg = write_config(tmp_path, f"{command}.json", payload)
+            result = runner.invoke(main, [command, "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append([(out / name).read_bytes() for name in artifacts])
+        assert outputs[0] == outputs[1]
 
 
 class TestConfigErrorsWriteNothing:

@@ -109,6 +109,17 @@ class TestMixtureSpec:
         with pytest.raises(ValueError, match="histogram_cutoffs must be finite"):
             MixtureSpec(histogram_cutoffs=cuts)
 
+    @pytest.mark.parametrize("field", ["n_subjects", "obs_per_subject"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 1, got {value!r}$"):
+            MixtureSpec(**{field: value})
+
+    def test_whole_float_counts_are_stored_as_ints(self):
+        spec = MixtureSpec(n_subjects=8.0, obs_per_subject=300.0)
+        assert (type(spec.n_subjects), type(spec.obs_per_subject)) == (int, int)
+        assert spec == SMALL
+
 
 class TestGenerateCohort:
     def test_noiseless_support_and_breaks(self):
