@@ -79,10 +79,12 @@ def _section(cls, section, context: str, readers: dict, label: str = "", **given
     """A ``cls`` from the config object ``section``, whose keys must be the dataclass's fields.
 
     ``given`` values replace the section's, and a value with a reader becomes
-    ``readers[key](value, "<context>.<key>")``.  A TypeError or ValueError of a reader
-    or of ``cls`` is the config error ``invalid <label or context>: …``.
+    ``readers[key](value, "<context>.<key>")``; a ``float`` field's default reader is
+    ``_number``.  A TypeError or ValueError of a reader or of ``cls`` is the config
+    error ``invalid <label or context>: …``.
     """
     _check_keys(section, set(cls.__dataclass_fields__), context)
+    readers = {**{key: _number for key, f in cls.__dataclass_fields__.items() if f.type in (float, "float")}, **readers}
     try:
         return cls(**{key: readers[key](value, f"{context}.{key}") if key in readers else value
                       for key, value in {**section, **given}.items()})
@@ -134,13 +136,13 @@ def _input_loader(section, method: Method, context: str, labelled: bool):
         except ValueError as exc:
             raise DataError(str(exc))
         decisions = result.decisions(policy)
-        kept = [s for s in result.series if decisions[s.subject_id].keep]
-        skipped = result.skipped_rows
+        subjects, skipped = result.readings.subjects(), result.skipped_rows
+        kept = [s for s in subjects if decisions[s.subject_id].keep]
         log.info(
             "ingested %s: %d rows read, %d skipped (first lines %s), %d readings clamped, "
-            "%d subjects kept, %d dropped", path, sum(s.n for s in result.series) + len(skipped),
+            "%d subjects kept, %d dropped", path, len(result.readings.values) + len(skipped),
             len(skipped), sorted(line for line, _ in skipped)[:5], sum(result.clamp_counts.values()),
-            len(kept), len(result.series) - len(kept))
+            len(kept), len(subjects) - len(kept))
         sidecar = {
             "clamp_counts": result.clamp_counts,
             "skipped_rows": [{"line": line, "reason": reason} for line, reason in skipped],
@@ -216,9 +218,16 @@ def _grid_size(flag, config: dict) -> int:
     return _integer(value, "grid_size", 1)
 
 
+def _number(value, name: str):
+    """A config setting that must be a JSON number; a boolean is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _thresholds(raw, name: str) -> tuple:
     """Sorted thresholds from a config list of numbers, which must be finite and distinct."""
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or any(isinstance(p, bool) for p in raw):
         raise ConfigError(f"{name} must be a list of numbers, got {raw!r}")
     try:
         values = tuple(sorted(float(p) for p in raw))
@@ -231,13 +240,10 @@ def _thresholds(raw, name: str) -> tuple:
     return values
 
 
-def _parse_fixed(raw) -> tuple:
-    """Sorted fixed thresholds from a comma-separated flag or a config list of numbers."""
-    if raw is None:
-        return ()
-    if isinstance(raw, str):
-        raw = [p for p in raw.split(",") if p.strip()]
-    return _thresholds(raw, "fixed")
+def _parse_fixed(flag, config: dict) -> tuple:
+    """Sorted fixed thresholds from the comma-separated flag, else the config's list of numbers."""
+    raw = [p for p in flag.split(",") if p.strip()] if flag is not None else config.get("fixed")
+    return () if raw is None else _thresholds(raw, "fixed")
 
 
 def _string(value, name: str, what: str = "a string") -> str:
@@ -309,7 +315,7 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
                 )
             spec = None
         else:
-            loss_token = loss_token or "l1"
+            loss_token = "l1" if loss_token is None else loss_token
             if loss_token not in ("l1", "l2"):
                 raise ConfigError(f"loss must be 'l1' or 'l2', got {loss_token!r}")
             spec = LossSpec(LossKind(loss_token), _grid_size(grid_size, config))
@@ -317,7 +323,7 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
         if k_value is None:
             raise ConfigError("k is required (flag --k or config key 'k')")
         k_value = _integer(k_value, "k", 0)
-        fixed_values = _parse_fixed(fixed if fixed is not None else config.get("fixed"))
+        fixed_values = _parse_fixed(fixed, config)
         seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
         de_config = _section(DEConfig, config.get("de", {}), "de", _DE_READERS, "de section", seed=seed_value)
         out_path = _out_path(out_dir, config)

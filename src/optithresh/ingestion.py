@@ -9,11 +9,9 @@ and kept series become unit-width integer histograms on [40, 401) so that the
 from __future__ import annotations
 
 import csv
-from array import array
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import cached_property
-from math import inf, isfinite, nan
+from math import inf
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence, Union
@@ -30,6 +28,8 @@ __all__ = [
     "InclusionPolicy",
     "InclusionDecision",
     "IngestResult",
+    "Readings",
+    "SubjectReadings",
     "read_cgm_csv",
     "write_cgm_csv",
     "apply_inclusion",
@@ -115,26 +115,95 @@ class InclusionDecision:
     completeness: float
 
 
+@dataclass(frozen=True, eq=False)
+class Readings:
+    """Kept readings of many subjects in columns, sorted by subject and then time.
+
+    Subject ``ids[i]`` holds rows ``bounds[i]:bounds[i + 1]`` of ``timestamps`` and
+    ``values``: at least one reading, strictly increasing timestamps and clamped values.
+    ``intervals[i]`` is its expected interval between readings.
+    """
+
+    ids: list
+    bounds: np.ndarray
+    timestamps: np.ndarray
+    values: np.ndarray
+    intervals: np.ndarray
+
+    @classmethod
+    def of(cls, series: Sequence[SubjectSeries]) -> "Readings":
+        """The columns of ``series``."""
+        stamps, values = ([x for s in series for x in getattr(s, name)] for name in ("timestamps", "values"))
+        bounds = np.cumsum([0, *(s.n for s in series)])
+        return cls([s.subject_id for s in series], bounds, np.array(stamps, float), np.array(values, float),
+                   np.array([s.expected_interval for s in series], float))
+
+    def __eq__(self, other) -> bool:
+        """Equal columns, so two ``IngestResult``s compare as their series would."""
+        return isinstance(other, Readings) and self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("bounds", "timestamps", "values", "intervals"))
+
+    def subjects(self) -> list:
+        """One ``SubjectReadings`` per subject, whose arrays are views of the columns."""
+        return [SubjectReadings(sid, self.timestamps[a:b], self.values[a:b], interval)
+                for sid, a, b, interval in zip(self.ids, self.bounds, self.bounds[1:], self.intervals.tolist())]
+
+    def series(self) -> list:
+        """One ``SubjectSeries`` per subject, of Python floats."""
+        stamps, values, bounds = self.timestamps.tolist(), self.values.tolist(), self.bounds.tolist()
+        return [SubjectSeries(sid, tuple(stamps[a:b]), tuple(values[a:b]), interval)
+                for sid, a, b, interval in zip(self.ids, bounds, bounds[1:], self.intervals.tolist())]
+
+
+@dataclass(frozen=True, eq=False)
+class SubjectReadings:
+    """One subject's rows of ``Readings``: what ``apply_inclusion`` and
+    ``empirical_histogram`` read of a ``SubjectSeries``, without building its tuples."""
+
+    subject_id: str
+    timestamps: np.ndarray
+    values: np.ndarray
+    expected_interval: float = 300.0
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    @property
+    def wear_seconds(self) -> float:
+        return float(self.timestamps[-1] - self.timestamps[0])
+
+    @property
+    def wear_days(self) -> float:
+        return self.wear_seconds / SECONDS_PER_DAY
+
+
 @dataclass
 class IngestResult:
-    series: list
+    """Kept readings, clamp counts and bad rows of one read.
+
+    ``series`` holds the readings as one ``SubjectSeries`` per subject, built on first
+    access.  A list of series given in place of ``readings`` becomes its columns.
+    """
+
+    readings: Readings
     clamp_counts: dict
     skipped_rows: list  # (line_number, reason)
     labels: Optional[dict] = None  # subject -> label, when a label column was read
     label_conflict: Optional[str] = None  # first subject seen with two labels
 
+    def __post_init__(self):
+        if not isinstance(self.readings, Readings):
+            self.readings = Readings.of(self.readings)
+
+    @cached_property
+    def series(self) -> list:
+        return self.readings.series()
+
     def decisions(self, policy: Optional[InclusionPolicy] = None) -> dict:
         policy = policy or InclusionPolicy()
-        return {s.subject_id: apply_inclusion(s, policy) for s in self.series}
-
-
-def _iso_timestamp(raw: str) -> float:
-    """Epoch seconds of an ISO 8601 stamp, UTC unless it names a zone; NaN if it is none."""
-    try:
-        stamp = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-    except ValueError:
-        return nan
-    return (stamp.replace(tzinfo=timezone.utc) if stamp.tzinfo is None else stamp).timestamp()
+        return {s.subject_id: apply_inclusion(s, policy) for s in self.readings.subjects()}
 
 
 def read_cgm_csv(
@@ -143,93 +212,18 @@ def read_cgm_csv(
     on_bad_row: str = "error",
     label_column: Optional[str] = None,
 ) -> IngestResult:
-    """Parse a readings CSV into per-subject, time-sorted series.
+    """Parse a readings CSV into per-subject, time-sorted readings.
 
     Out-of-range values are clamped and counted per subject.  Malformed rows
     (bad number, bad or non-finite timestamp, a subject's repeated timestamp
     after its first reading) raise by default; with ``on_bad_row="skip"`` they
     are collected with their line numbers instead.  Missing schema columns and
     CSV structure errors are always fatal.  A ``label_column`` is read from
-    every row with an id.
+    every row with an id.  See ``_reader`` for how.
     """
-    if on_bad_row not in ("error", "skip"):
-        raise ValueError("on_bad_row must be 'error' or 'skip'")
-    path = Path(path)
-    skipped: list = []
+    from . import _reader
 
-    def bad(line_no: int, reason: str) -> None:
-        if on_bad_row == "error":
-            raise ValueError(f"line {line_no}: {reason}")
-        skipped.append((line_no, reason))
-
-    codes_of: dict = {}  # subject id -> code, in order of its first good reading
-    codes, stamps, values, lines = array("q"), array("d"), array("d"), array("q")
-    labels = conflict = None
-    try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                return IngestResult([], {}, [])
-            names = (schema.id_column, schema.time_column, schema.value_column)
-            for column in names:
-                if column not in header:
-                    raise ValueError(f"missing required column {column!r} in {path}")
-            position = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-            id_at, time_at, value_at = (position[name] for name in names)
-            width = max(id_at, time_at, value_at) + 1
-            if label_column in header:
-                labels, label_at = {}, position[label_column]
-                label_width = max(id_at, label_at) + 1
-            for row in reader:
-                if not row:
-                    continue
-                if labels is not None and len(row) >= label_width and row[id_at]:
-                    if labels.setdefault(row[id_at], row[label_at]) != row[label_at] and conflict is None:
-                        conflict = row[id_at]
-                if len(row) < width or not row[id_at]:
-                    bad(reader.line_num, "incomplete row")
-                    continue
-                raw_time, raw_value = row[time_at], row[value_at]
-                try:
-                    stamp = float(raw_time)
-                except ValueError:
-                    stamp = _iso_timestamp(raw_time)
-                if not isfinite(stamp):
-                    bad(reader.line_num, f"unparseable timestamp {raw_time!r}")
-                    continue
-                try:
-                    value = float(raw_value)
-                except ValueError:
-                    bad(reader.line_num, f"unparseable value {raw_value!r}")
-                    continue
-                if value != value:
-                    bad(reader.line_num, "missing value")
-                    continue
-                codes.append(codes_of.setdefault(row[id_at], len(codes_of)))
-                stamps.append(stamp)
-                values.append(value)
-                lines.append(reader.line_num)
-    except csv.Error as exc:  # a structure error, such as a field over csv.field_size_limit()
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-
-    ids = list(codes_of)
-    code, stamp, value, line = (np.frombuffer(c, c.typecode) for c in (codes, stamps, values, lines))
-    out_of_range = (value < CLAMP_RANGE[0]) | (value > CLAMP_RANGE[1])
-    clamped, first, counts = np.unique(code[out_of_range], return_index=True, return_counts=True)
-    by_first = np.argsort(first)  # keys in order of each subject's first clamp
-    clamp_counts = dict(zip([ids[c] for c in clamped[by_first]], counts[by_first].tolist()))
-    order = np.lexsort((stamp, code))  # stable: equal stamps keep file order
-    code, stamp, value, line = code[order], stamp[order], np.clip(value[order], *CLAMP_RANGE), line[order]
-    # x - y == 0 exactly when x == y for finite floats; the first of a run is never a duplicate.
-    duplicate = (np.diff(code, prepend=-1) == 0) & (np.diff(stamp, prepend=np.nan) == 0)
-    for i in np.flatnonzero(duplicate):
-        bad(int(line[i]), f"duplicate timestamp {float(stamp[i])} for subject {ids[code[i]]}")
-    code, stamp, value = code[~duplicate], stamp[~duplicate].tolist(), value[~duplicate].tolist()
-    bounds = np.searchsorted(code, np.arange(len(ids) + 1)).tolist()
-    series = [SubjectSeries(sid, tuple(stamp[a:b]), tuple(value[a:b]))
-              for sid, a, b in zip(ids, bounds, bounds[1:])]
-    return IngestResult(series, clamp_counts, skipped, labels, conflict)
+    return _reader.read(path, schema, on_bad_row, label_column)
 
 
 def write_cgm_csv(
@@ -259,7 +253,9 @@ def _write_float_rows(path, header, blocks) -> None:
             handle.write("".join([lead + ",".join(cells) + "\r\n" for cells in rows]))
 
 
-def apply_inclusion(series: SubjectSeries, policy: InclusionPolicy = InclusionPolicy()) -> InclusionDecision:
+def apply_inclusion(
+    series: Union[SubjectSeries, SubjectReadings], policy: InclusionPolicy = InclusionPolicy()
+) -> InclusionDecision:
     """Keep/drop decision for one series under the three-tier completeness rule.
 
     Completeness is the fraction of expected readings over the elapsed wear
@@ -287,7 +283,7 @@ def apply_inclusion(series: SubjectSeries, policy: InclusionPolicy = InclusionPo
     return InclusionDecision(keep=keep, reason=reason, wear_days=wear_days, completeness=completeness)
 
 
-def empirical_histogram(series: SubjectSeries, domain: Domain = CGM_DOMAIN) -> Histogram:
+def empirical_histogram(series: Union[SubjectSeries, SubjectReadings], domain: Domain = CGM_DOMAIN) -> Histogram:
     """Unit-width integer histogram of a kept series.
 
     On the default domain this yields 361 bins for the levels 40..400, i.e. a

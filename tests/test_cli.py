@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -715,6 +716,141 @@ class TestConfigErrorsWriteNothing:
         result = self.optimize(runner, tmp_path, input={"kind": "csv", "path": str(data)})
         assert result.exit_code == 3 and "no subjects pass" in result.output, result.output
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["ingest_report.json"]
+
+
+class TestBooleansAndStringsInSettings:
+    """A boolean is no number: in a float setting of a config section or a threshold list it
+    exits 2 naming the setting, as do a falsy ``loss`` and a config string for ``fixed``.
+    Nothing is written."""
+
+    VALID = TestWrongTypedSettings.VALID
+
+    def run(self, runner, tmp_path, command, payload, *flags):
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        return runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+
+    def assert_config_error(self, result, tmp_path, message):
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output, result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, where, key",
+        [
+            ("optimize", "de", "crossover_prob"),
+            ("optimize", "de", "convergence_tol"),
+            ("simulate", "de", "crossover_prob"),
+            ("optimize", "input.mixture", "noise_sd"),
+            ("simulate", "mixture", "noise_sd"),
+            ("simulate", "mixture", "noise_truncation"),
+            ("evaluate", "group_b.mixture", "noise_sd"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False, "0.5"])
+    def test_float_setting(self, runner, tmp_path, command, where, key, value):
+        payload = json.loads(json.dumps(self.VALID[command]))
+        section = payload
+        for name in where.split("."):
+            section = section.setdefault(name, {})
+        section[key] = value
+        result = self.run(runner, tmp_path, command, payload)
+        self.assert_config_error(result, tmp_path, f"{where}.{key} must be a number, got {value!r}")
+
+    @pytest.mark.parametrize("key", ["short_days", "mid_fraction", "long_window_days"])
+    def test_inclusion_setting(self, runner, tmp_path, key):
+        source = TestWrongTypedSettings.csv_source(tmp_path, inclusion={key: True})
+        result = self.run(runner, tmp_path, "optimize", {**self.VALID["optimize"], "input": source})
+        self.assert_config_error(result, tmp_path, f"input.inclusion.{key} must be a number, got True")
+
+    @pytest.mark.parametrize(
+        "command, key, value, name",
+        [
+            ("optimize", "fixed", [True], "fixed"),
+            ("optimize", "fixed", [70.0, False], "fixed"),
+            ("evaluate", "threshold_sets", [[70.0], [True]], "threshold_sets[1]"),
+            ("evaluate", "reference", [True], "reference"),
+        ],
+    )
+    def test_boolean_threshold(self, runner, tmp_path, command, key, value, name):
+        result = self.run(runner, tmp_path, command, {**self.VALID[command], key: value})
+        bad = value[-1] if key == "threshold_sets" else value
+        self.assert_config_error(result, tmp_path, f"{name} must be a list of numbers, got {bad!r}")
+
+    @pytest.mark.parametrize("loss", [False, 0, ""])
+    def test_falsy_loss(self, runner, tmp_path, loss):
+        result = self.run(runner, tmp_path, "optimize", {**self.VALID["optimize"], "loss": loss})
+        self.assert_config_error(result, tmp_path, f"loss must be 'l1' or 'l2', got {loss!r}")
+
+    def test_fixed_string_in_config(self, runner, tmp_path):
+        result = self.run(runner, tmp_path, "optimize", {**self.VALID["optimize"], "fixed": "70"})
+        self.assert_config_error(result, tmp_path, "fixed must be a list of numbers, got '70'")
+
+    def test_fixed_flag_still_splits(self, runner, tmp_path):
+        result = self.run(runner, tmp_path, "optimize", self.VALID["optimize"], "--fixed", "70")
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "out" / "result.json").read_text())["config"]["fixed"] == [70.0]
+
+
+def _export_rows(rng) -> list:
+    """(id, epoch seconds, value) rows shaped like a CGM export: 5-minute readings of five
+    subjects over two days and one short wear, with clamped values, bad rows and repeats."""
+    rows = []
+    for s in range(6):
+        n = 576 if s < 5 else 200
+        stamps = 1_704_067_200 + 300 * np.sort(rng.choice(n + n // 4, n, replace=False))
+        values = np.rint(120 + 60 * np.sin(np.arange(n) / 40 + s) + rng.normal(0, 8, n)).astype(int)
+        values[rng.choice(n, 4, replace=False)] = rng.choice([20, 39, 401, 450], 4)
+        rows += [[f"s{s}", str(t), str(v)] for t, v in zip(stamps.tolist(), values.tolist())]
+    for pos in sorted(rng.choice(len(rows), 12, replace=False).tolist(), reverse=True):
+        sid, stamp, value = rows[pos]
+        odd = [["", stamp, value], [sid, "not-a-time", value], [sid, stamp, "HI"], [sid, stamp, "nan"],
+               [sid, stamp, str(int(value) + 3)]][pos % 5]
+        rows.insert(pos + 1, odd)
+    return rows
+
+
+class TestCsvLineEndsAndTimes:
+    """One export written with LF or CRLF line ends, or with ISO 8601 times, gives the same
+    artifacts: the scan path and the row path read it alike."""
+
+    ARTIFACTS = ("ingest_report.json", "result.json", "tir_summary.csv", "linearization.csv")
+
+    @staticmethod
+    def iso(stamp: str) -> str:
+        if not stamp.isdigit():
+            return stamp
+        return datetime.fromtimestamp(int(stamp), timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+
+    def test_same_artifacts(self, runner, tmp_path):
+        rows = _export_rows(np.random.default_rng(8))
+        texts = {
+            "lf": "\n".join(",".join(row) for row in [["id", "time", "gl"], *rows]) + "\n",
+            "crlf": "\r\n".join(",".join(row) for row in [["id", "time", "gl"], *rows]) + "\r\n",
+            "iso": "\n".join(",".join([sid, self.iso(t), v]) for sid, t, v in [["id", "time", "gl"], *rows]),
+        }
+        data = tmp_path / "cgm.csv"  # one path for all three, which result.json names
+        payload = {"input": {"kind": "csv", "path": str(data), "on_bad_row": "skip"}, "loss": "l1", "method": "de",
+                   "k": 3, "fixed": [70, 181], "grid_size": 50, "seed": 2, "de": {"max_generations": 4}}
+        cfg = write_config(tmp_path, "optimize.json", payload)
+        outputs = {}
+        for name, text in texts.items():
+            data.write_bytes(text.encode("utf-8"))
+            out = tmp_path / name
+            result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs[name] = [(out / artifact).read_bytes() for artifact in self.ARTIFACTS]
+        assert outputs["lf"] == outputs["crlf"] == outputs["iso"]
+        report = json.loads(outputs["lf"][0])
+        assert len(report["skipped_rows"]) == 12 and sum(report["clamp_counts"].values()) > 0
+        assert [d["keep"] for d in report["decisions"].values()] == [True] * 5 + [False]
+
+    def test_invalid_utf8_is_data_error(self, runner, tmp_path):
+        data = tmp_path / "cgm.csv"
+        data.write_bytes(b"id,time,gl\n" + b"".join(b"a,%d,100\n" % (300 * i) for i in range(50)) + b"\xff,0,100\n")
+        cfg = write_config(tmp_path, "optimize.json", {"input": {"kind": "csv", "path": str(data)}, "k": 1})
+        result = runner.invoke(main, ["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert "error: 'utf-8' codec can't decode byte 0xff" in result.output, result.output
 
 
 class TestEvaluateCsvGroups:

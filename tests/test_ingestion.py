@@ -8,6 +8,7 @@ from optithresh.ingestion import (
     CGM_DOMAIN,
     CsvSchema,
     InclusionPolicy,
+    IngestResult,
     SubjectSeries,
     apply_inclusion,
     empirical_histogram,
@@ -175,6 +176,45 @@ class TestReadCsv:
             loaded = by_id[original.subject_id]
             assert loaded.timestamps == original.timestamps
             assert loaded.values == original.values
+
+
+class TestReadings:
+    """What the CLI reads from the columns equals what the public API gives for each series."""
+
+    def test_columns_give_the_series_decisions_and_histograms(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        rows = [f"{sid},{start + 300 * i},{38 + (7 * i) % 370}" for sid, start, n in
+                (("a", 0, 300), ("b", 900, 40), ("c", 10, 1)) for i in range(n)]
+        path.write_text("id,time,gl\n" + "\n".join(rows[::2] + rows[1::2]) + "\n")
+        result = read_cgm_csv(path)
+        assert "series" not in vars(result)  # built on first access
+        series, readings = result.series, result.readings
+        assert result == read_cgm_csv(path) == IngestResult(series, result.clamp_counts, result.skipped_rows)
+        assert readings.ids == [s.subject_id for s in series] == ["a", "b", "c"]
+        assert np.diff(readings.bounds).tolist() == [s.n for s in series]
+        policy = InclusionPolicy(short_fraction=0.5)
+        assert result.decisions(policy) == {s.subject_id: apply_inclusion(s, policy) for s in series}
+        for s, subject in zip(series, readings.subjects(), strict=True):
+            assert apply_inclusion(subject, policy) == apply_inclusion(s, policy)
+            expected, got = empirical_histogram(s), empirical_histogram(subject)
+            assert got.subject_id == expected.subject_id
+            assert got.masses.tobytes() == expected.masses.tobytes()
+
+    def test_result_from_series(self):
+        series = [make_series("a", n=5), make_series("b", n=3, value=70.0)]
+        result = IngestResult(series, {}, [])
+        assert result.series == series
+        assert result == IngestResult(list(series), {}, []) != IngestResult(series[:1], {}, [])
+        assert result.decisions() == {s.subject_id: apply_inclusion(s) for s in series}
+        assert IngestResult([], {}, []).series == []
+
+    def test_result_keeps_each_series_interval(self):
+        series = [SubjectSeries("a", (0.0, 60.0), (100.0, 101.0), expected_interval=60.0), make_series("b", n=3)]
+        result = IngestResult(series, {}, [])
+        assert result.series == series
+        assert result != IngestResult([SubjectSeries("a", (0.0, 60.0), (100.0, 101.0)), series[1]], {}, [])
+        assert result.decisions() == {s.subject_id: apply_inclusion(s) for s in series}
+        assert result.decisions()["a"].completeness == 1.0
 
 
 def row_list_write_cgm_csv(path, series, schema=CsvSchema()) -> None:

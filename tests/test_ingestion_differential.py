@@ -11,14 +11,18 @@ the same first error, and read the same labels.
 import csv
 import io
 import math
+import re
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Union
+from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from optithresh import _reader
 from optithresh.ingestion import CLAMP_RANGE, CsvSchema, IngestResult, SubjectSeries, read_cgm_csv
 
 
@@ -224,3 +228,117 @@ def test_column_wise_reader_matches_oracle(text):
             assert result.labels == expected
             if expected is not None:
                 assert list(result.labels.items()) == list(expected.items())
+
+
+PLAIN = re.compile(r"[0-9]{1,15}(\.0*)?")  # what the byte scan parses; ``\d`` would take any Unicode digit
+SCAN_IDS = ["a", "b", "s0001", "é", "日本", "x y", " pad", " ", "\x85", ""]
+SCAN_TIMES = [
+    "300.0", "300.", "300.000", "0300", "9" * 15, "9" * 16, "1" * 20, "+300", "-300", "300.5", "3e2",
+    " 300", "300 ", "2023-01-02T00:00:00Z", "nan", "",
+]
+SCAN_VALUES = ["100.0", "100.", "100.000", "1" * 15, "9" * 16, "1" * 20, "+100", "-5", "100.5", "HI", "nan", ""]
+SCAN_HEADERS = [["id", "time", "gl"], ["n", "id", "time", "gl"], ["gl", "id", "time"], ["id", "time", "gl", "time"]]
+
+
+@st.composite
+def scan_texts(draw):
+    """Quote-free CSV text, mostly rows of plain numbers: runs of one subject broken by bad
+    rows and blank lines, repeated stamps, LF, CRLF or bare CR line ends, a BOM or not, and a
+    last line with or without its line end."""
+    header = draw(st.sampled_from(SCAN_HEADERS))
+    lines, subject = [",".join(header)], "a"
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append("")
+            continue
+        if kind == 1:
+            subject = draw(st.sampled_from(SCAN_IDS))
+        fields = {"id": subject, "time": str(draw(st.integers(0, 20)) * 300), "n": "x",
+                  "gl": str(draw(st.sampled_from([39, 40, 100, 120, 400, 401])))}
+        if kind == 2:
+            fields["time"] = draw(st.sampled_from(SCAN_TIMES))
+        elif kind == 3:
+            fields["gl"] = draw(st.sampled_from(SCAN_VALUES))
+        row = [fields[name] for name in header]
+        if kind == 4:
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        elif kind == 5:
+            row.append("extra")
+        lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def plain_id(line: str, header: list):
+    """The id of ``line`` (without its line end) if the byte scan parses it as an array row."""
+    fields, at = line.split(","), {name: i for i, name in enumerate(header)}
+    plain = len(fields) == len(header) and all(PLAIN.fullmatch(fields[at[name]]) for name in ("time", "gl"))
+    return fields[at["id"]] if plain and fields[at["id"]] else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=scan_texts(), block=st.sampled_from([None, 1, 24]))
+@example(text="id,time,gl\na,0,100\na,300,100\nb,0,100\na,600,x\na,0,101\n", block=12)
+def test_byte_scan_matches_oracle(text, block):
+    """The byte scan gives the oracle's result, and only the rows it cannot parse, and the
+    first plain row of each run of one subject, reach the row body.  ``block`` patches the
+    scan's block size, so that runs and repeated stamps span block boundaries."""
+    given_lines = []
+    take = _reader._RowBody.take
+
+    def spy(rows, reader, lines):
+        given_lines.append(lines)
+        return take(rows, reader, lines)
+
+    with tempfile.TemporaryDirectory() as tmp, patch.object(_reader._RowBody, "take", spy), \
+            patch.object(_reader, "_SCAN_BYTES", block or _reader._SCAN_BYTES):
+        path = Path(tmp) / "readings.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        for mode in ("error", "skip"):
+            given_lines.clear()
+            got = outcome(read_cgm_csv, path, on_bad_row=mode)
+            assert got == outcome(oracle_read_cgm_csv, path, on_bad_row=mode)
+    if got[0] == "raised":  # a header without a schema column
+        return
+    if re.search("\r(?!\n)", text):  # a bare carriage return: every row takes the row body
+        assert len(given_lines) == 1 and isinstance(given_lines[0], range)
+        return
+    header = next(csv.reader([text.split("\n")[0].removesuffix("\r")]))
+    physical = text.split("\n")[1:]
+    if text.endswith("\n"):
+        physical.pop()
+    given = [line for lines in given_lines for line in lines]
+    assert len(given) == len(set(given))
+    previous, expected = None, []
+    for number, line in enumerate(physical, start=2):
+        subject = plain_id(line.removesuffix("\r"), header)
+        if subject is None or subject != previous:
+            expected.append(number)
+        previous = subject if subject is not None else previous
+    if block is None:  # one block: the row body gets exactly those lines
+        assert given == expected
+    else:
+        assert set(expected) <= set(given)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("bad_line", [2, None])
+def test_invalid_utf8_after_the_first_error(tmp_path, block, bad_line):
+    """Rows before an undecodable byte are read first: a bad row 28 KB before it, in the scan's
+    block but past the oracle's first 8 KiB of decoded text, is the first error in both."""
+    lines = ["id,time,gl"] + [f"a,{300 * i},100" for i in range(2000)]
+    if bad_line is not None:
+        lines[bad_line - 1] = "a,x,100"
+    path = tmp_path / "readings.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode() + b"\xff,0,100\n")
+    with patch.object(_reader, "_SCAN_BYTES", block or _reader._SCAN_BYTES):
+        if bad_line is not None:
+            expected = outcome(oracle_read_cgm_csv, path)
+            assert outcome(read_cgm_csv, path) == expected == ("raised", "line 2: unparseable timestamp 'x'")
+        for read in (read_cgm_csv, oracle_read_cgm_csv):
+            with pytest.raises(UnicodeDecodeError):
+                read(path, on_bad_row="skip")
+            if bad_line is None:
+                with pytest.raises(UnicodeDecodeError):
+                    read(path)
