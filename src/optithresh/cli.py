@@ -191,8 +191,15 @@ def _write_table(path: Path, header: list, records) -> None:
     _write_float_rows(path, header, lines)
 
 
-def _integer(value, name: str, minimum: int) -> int:
-    """An integer setting from a flag or the config, at least ``minimum``.
+#: Upper bounds of settings that size an allocation, checked while the config is parsed: quantile
+#: grid points, DE's population (``de.population_size_per_dim`` times the free thresholds) and
+#: ``simulate``'s replications.  ``MixtureSpec`` bounds the mixture's sizes.
+_MAX_GRID_SIZE = _MAX_POPULATION = 100_000
+_MAX_REPS = 1_000_000
+
+
+def _integer(value, name: str, minimum: int, maximum: float = math.inf) -> int:
+    """An integer setting from a flag or the config, from ``minimum`` to ``maximum``.
 
     Booleans, fractions and unparseable values are config errors.
     """
@@ -204,18 +211,35 @@ def _integer(value, name: str, minimum: int) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if number < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {number}")
+    if number > maximum:
+        raise ConfigError(f"{name} must be at most {maximum:,}, got {value!r}")
     return number
 
 
 #: Readers of the ``de`` section's integer settings.
-_DE_READERS = {key: partial(_integer, minimum=minimum)
-               for key, minimum in (("population_size_per_dim", 4), ("max_generations", 1), ("seed", 0))}
+_DE_READERS = {"population_size_per_dim": partial(_integer, minimum=4, maximum=_MAX_POPULATION),
+               "max_generations": partial(_integer, minimum=1)}
+
+
+def _de_config(config: dict, free: int, **given) -> DEConfig:
+    """The ``de`` section with ``given`` values, for DE over ``free`` free thresholds (0 if DE does not run).
+
+    The section may not set ``seed``: the top-level ``seed`` seeds DE.
+    """
+    section = config.get("de", {})
+    if isinstance(section, dict) and "seed" in section:
+        raise ConfigError('de.seed is not a setting: the top-level "seed" seeds the run')
+    de_config = _section(DEConfig, section, "de", _DE_READERS, "de section", **given)
+    if de_config.population_size_per_dim * free > _MAX_POPULATION:
+        raise ConfigError(f"de.population_size_per_dim ({de_config.population_size_per_dim}) times the {free} "
+                          f"free thresholds must be at most {_MAX_POPULATION:,}")
+    return de_config
 
 
 def _grid_size(flag, config: dict) -> int:
     """Quantile grid size from the flag, else the config, else the default."""
     value = flag if flag is not None else config.get("grid_size", DEFAULT_GRID_SIZE)
-    return _integer(value, "grid_size", 1)
+    return _integer(value, "grid_size", 1, _MAX_GRID_SIZE)
 
 
 def _number(value, name: str):
@@ -325,7 +349,8 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
         k_value = _integer(k_value, "k", 0)
         fixed_values = _parse_fixed(fixed, config)
         seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
-        de_config = _section(DEConfig, config.get("de", {}), "de", _DE_READERS, "de section", seed=seed_value)
+        free = k_value - len(fixed_values) if method_enum is Method.DIFFERENTIAL_EVOLUTION else 0
+        de_config = _de_config(config, free, seed=seed_value)
         out_path = _out_path(out_dir, config)
         if "input" not in config:
             raise ConfigError("config requires an 'input' section")
@@ -408,12 +433,12 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
         grid = _grid_size(grid_size, config)
         loss_specs = [LossSpec(LossKind(token), grid) for token in losses]
         k_value = _integer(k if k is not None else config.get("k", 3), "k", 0)
-        reps_value = _integer(reps if reps is not None else config.get("reps", 10), "reps", 1)
+        reps_value = _integer(reps if reps is not None else config.get("reps", 10), "reps", 1, _MAX_REPS)
         seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
         noise_levels = config.get("noise_levels")
         if noise_levels is not None:
             _list(noise_levels, "noise_levels", numbers=True)
-        de_config = _section(DEConfig, config.get("de", {}), "de", _DE_READERS, "de section")
+        de_config = _de_config(config, k_value if any(str(m).lower() == "de" for m in methods) else 0)
         out_path = _out_path(out_dir, config)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))

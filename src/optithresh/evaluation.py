@@ -33,23 +33,17 @@ RIDGE = 1e-8
 
 
 def _range_labels(t: ThresholdSet) -> tuple:
+    """``<a``, one label per inner range and ``>=z``: integer ranges name their last level, real ones are half-open."""
     values = t.thresholds
     if not values:
         return ("all",)
-    integral = all(float(v).is_integer() for v in values)
-    labels = []
-    if integral:
-        ints = [int(v) for v in values]
-        labels.append(f"<{ints[0]}")
-        for lo, hi in zip(ints, ints[1:]):
-            labels.append(f"{lo}–{hi - 1}")
-        labels.append(f">={ints[-1]}")
+    if all(float(v).is_integer() for v in values):
+        names = [str(int(v)) for v in values]
+        inner = [f"{lo}–{int(hi) - 1}" for lo, hi in zip(names, values[1:])]
     else:
-        labels.append(f"<{values[0]:g}")
-        for lo, hi in zip(values, values[1:]):
-            labels.append(f"[{lo:g}, {hi:g})")
-        labels.append(f">={values[-1]:g}")
-    return tuple(labels)
+        names = [f"{v:g}" for v in values]
+        inner = [f"[{lo}, {hi})" for lo, hi in zip(names, names[1:])]
+    return (f"<{names[0]}", *inner, f">={names[-1]}")
 
 
 @dataclass(frozen=True)

@@ -52,14 +52,36 @@ class CsvSchema:
     value_column: str = "gl"
 
 
-@dataclass(frozen=True)
-class SubjectSeries:
-    """Time-ordered readings of one subject."""
+@dataclass(frozen=True, eq=False)
+class SubjectReadings:
+    """One subject's readings: what ``apply_inclusion`` and ``empirical_histogram`` read.
+
+    ``Readings.subjects()`` gives them as views of its columns, without building a
+    ``SubjectSeries``'s tuples.
+    """
 
     subject_id: str
-    timestamps: tuple  # seconds since epoch, strictly increasing
-    values: tuple      # mg/dL, already clamped
+    timestamps: np.ndarray
+    values: np.ndarray
     expected_interval: float = 300.0
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+    @property
+    def wear_seconds(self) -> float:
+        return float(self.timestamps[-1] - self.timestamps[0])
+
+    @property
+    def wear_days(self) -> float:
+        return self.wear_seconds / SECONDS_PER_DAY
+
+
+@dataclass(frozen=True)
+class SubjectSeries(SubjectReadings):
+    """Time-ordered readings of one subject, as tuples: ``timestamps`` in seconds since
+    epoch, strictly increasing, and ``values`` in mg/dL, already clamped."""
 
     def __post_init__(self):
         if len(self.timestamps) != len(self.values):
@@ -71,18 +93,6 @@ class SubjectSeries:
             raise ValueError("timestamps must be finite and strictly increasing")
         if self.expected_interval <= 0:
             raise ValueError("expected_interval must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @cached_property
-    def wear_seconds(self) -> float:
-        return self.timestamps[-1] - self.timestamps[0]
-
-    @property
-    def wear_days(self) -> float:
-        return self.wear_seconds / SECONDS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -151,32 +161,8 @@ class Readings:
 
     def series(self) -> list:
         """One ``SubjectSeries`` per subject, of Python floats."""
-        stamps, values, bounds = self.timestamps.tolist(), self.values.tolist(), self.bounds.tolist()
-        return [SubjectSeries(sid, tuple(stamps[a:b]), tuple(values[a:b]), interval)
-                for sid, a, b, interval in zip(self.ids, bounds, bounds[1:], self.intervals.tolist())]
-
-
-@dataclass(frozen=True, eq=False)
-class SubjectReadings:
-    """One subject's rows of ``Readings``: what ``apply_inclusion`` and
-    ``empirical_histogram`` read of a ``SubjectSeries``, without building its tuples."""
-
-    subject_id: str
-    timestamps: np.ndarray
-    values: np.ndarray
-    expected_interval: float = 300.0
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def wear_seconds(self) -> float:
-        return float(self.timestamps[-1] - self.timestamps[0])
-
-    @property
-    def wear_days(self) -> float:
-        return self.wear_seconds / SECONDS_PER_DAY
+        return [SubjectSeries(s.subject_id, tuple(s.timestamps.tolist()), tuple(s.values.tolist()), s.expected_interval)
+                for s in self.subjects()]
 
 
 @dataclass
@@ -265,14 +251,12 @@ def apply_inclusion(
     wear_days = series.wear_days
     expected = series.wear_seconds / series.expected_interval + 1.0
     completeness = series.n / expected
-    if wear_days < policy.short_days:
-        keep = completeness >= policy.short_fraction
+    if wear_days <= policy.mid_days:
+        short = wear_days < policy.short_days
+        tier, fraction = ("short-wear", policy.short_fraction) if short else ("mid-window", policy.mid_fraction)
+        keep = completeness >= fraction
         cmp = ">=" if keep else "<"
-        reason = f"short-wear completeness {completeness:.2f} {cmp} {policy.short_fraction:.2f}"
-    elif wear_days <= policy.mid_days:
-        keep = completeness >= policy.mid_fraction
-        cmp = ">=" if keep else "<"
-        reason = f"mid-window completeness {completeness:.2f} {cmp} {policy.mid_fraction:.2f}"
+        reason = f"{tier} completeness {completeness:.2f} {cmp} {fraction:.2f}"
     else:
         required = policy.long_fraction * policy.long_window_days * SECONDS_PER_DAY / series.expected_interval
         keep = series.n >= required

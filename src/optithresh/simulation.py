@@ -69,7 +69,6 @@ class MixtureSpec:
             raise ValueError("at least one base threshold is required")
         ThresholdSet(base).validate_for(self.domain)
         _check_noise(self.noise_sd, self.noise_truncation, "noise_sd", "noise_truncation")
-        gaps = np.diff(np.concatenate(([self.domain.lower], base, [self.domain.upper])))
         edge_room = min(base[0] - self.domain.lower, self.domain.upper - base[-1])
         interior = np.diff(base)
         if interior.size and self.noise_truncation >= interior.min() / 2:
@@ -78,12 +77,13 @@ class MixtureSpec:
             )
         if self.noise_truncation > edge_room:
             raise ValueError("noise_truncation pushes thresholds outside the domain")
-        if gaps.min() <= 0:
-            raise ValueError("base thresholds must be strictly increasing inside the domain")
-        for name in ("n_subjects", "obs_per_subject"):  # a whole float, as JSON may give, becomes an int
+        # A whole float, as JSON may give, becomes an int; the bounds refuse sizes no run could allocate.
+        for name, most in (("n_subjects", 100_000), ("obs_per_subject", 1_000_000)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+            if value > most:
+                raise ValueError(f"{name} must be at most {most:,}, got {value!r}")
             object.__setattr__(self, name, int(value))
         cuts = self.histogram_cutoffs
         if not all(math.isfinite(c) for c in cuts):
@@ -101,11 +101,18 @@ class MixtureSpec:
 
 
 def _check_noise(sd: float, bound: float, sd_name: str, bound_name: str) -> None:
-    """A finite ``sd >= 0`` and a finite ``bound > 0``, without which rejection never ends."""
+    """A finite ``sd >= 0`` and a finite ``bound > 0`` of at least ``sd / 1000``.
+
+    Rejection accepts a draw with probability about ``bound / sd`` when that is small, so
+    without these it could draw for hours or for ever.
+    """
     if not (math.isfinite(sd) and sd >= 0):
         raise ValueError(f"{sd_name} must be finite and non-negative, got {sd!r}")
     if not (math.isfinite(bound) and bound > 0):
         raise ValueError(f"{bound_name} must be finite and positive, got {bound!r}")
+    if bound < sd / 1000:
+        raise ValueError(f"{bound_name} must be finite, positive and at least {sd_name} / 1000, "
+                         f"got {bound!r} with {sd_name} {sd!r}")
 
 
 def sample_truncated_normal(sd: float, bound: float, rng: np.random.Generator) -> float:
@@ -253,26 +260,14 @@ def _replication_records(spec, noise, rep, root, tokens, loss_specs, k, de_confi
     log.debug("noise %.1f replication %d generated", noise, rep)
     records = []
     for token in tokens:
-        if token == "paa":
-            res = optimize(binned, k, None, Method.PAA)
-            records.append(
-                ReplicationRecord(
-                    "paa", LossKind.L2_BRAY_CURTIS.value, noise, rep, res.thresholds.thresholds, res.loss
-                )
-            )
-            continue
-        for ls in loss_specs:
+        for ls in [None] if token == "paa" else loss_specs:
             if token == "oracle":
                 thresholds = spec.base_thresholds
-                loss = evaluate_loss(empirical, ThresholdSet(thresholds), ls)
+                kind, loss = ls.kind, evaluate_loss(empirical, ThresholdSet(thresholds), ls)
             else:
-                if token == "de":
-                    res = optimize(empirical, k, ls, Method.DIFFERENTIAL_EVOLUTION, config=de_config)
-                else:
-                    method = Method.STEPWISE_AGGREGATION if token == "sa" else Method.STEPWISE_SPLITTING
-                    res = optimize(binned, k, ls, method)
-                loss, thresholds = res.loss, res.thresholds.thresholds
-            records.append(ReplicationRecord(token, ls.kind.value, noise, rep, thresholds, loss))
+                res = optimize(empirical if token == "de" else binned, k, ls, Method(token), config=de_config)
+                kind, loss, thresholds = res.loss_spec.kind, res.loss, res.thresholds.thresholds
+            records.append(ReplicationRecord(token, kind.value, noise, rep, thresholds, loss))
     return records
 
 
@@ -305,7 +300,7 @@ def run_benchmark(
         if ls.kind is LossKind.L2_BRAY_CURTIS:
             raise ValueError("the Bray-Curtis objective belongs to the PAA baseline only")
     if isinstance(seeds, (int, np.integer)):
-        seed_entropy = tuple(int(seeds) + np.arange(reps))
+        seed_entropy = tuple(range(int(seeds), int(seeds) + reps))
     else:
         seed_entropy = tuple(int(s) for s in seeds)
         if len(seed_entropy) < reps:

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 
 # One BLAS thread, as the benchmark and CI use: more threads make SA's L2
 # removal products burn CPU without saving time.  Set before numpy loads BLAS.
@@ -31,3 +33,23 @@ def random_histogram(rng, n_bins=6, domain=Domain(0.0, 1.0), positive=True, subj
 def random_sample(rng, n=50, domain=Domain(0.0, 1.0), subject_id=None):
     values = rng.uniform(domain.lower, domain.upper, size=n)
     return EmpiricalSample(domain, values, subject_id=subject_id)
+
+
+class RanTooLong(BaseException):
+    """Raised by ``time_limit``; a BaseException, so that no ``except Exception`` in the CLI
+    or in click's test runner swallows it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise ``RanTooLong`` in the block once it has run ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise RanTooLong(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import time_limit
 from optithresh import cli
 from optithresh.cli import main
 from optithresh.evaluation import tir_summary
@@ -716,6 +717,68 @@ class TestConfigErrorsWriteNothing:
         result = self.optimize(runner, tmp_path, input={"kind": "csv", "path": str(data)})
         assert result.exit_code == 3 and "no subjects pass" in result.output, result.output
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["ingest_report.json"]
+
+
+class TestSizesNoiseAndSeeds:
+    """Sizes no run could allocate, a noise_sd that rejection sampling could not draw under
+    and a ``de.seed`` exit 2 at once, naming the setting, with no traceback and no file
+    written, even for a csv input.  ``simulate`` takes seeds beyond int64."""
+
+    VALID = TestWrongTypedSettings.VALID
+
+    def run(self, runner, tmp_path, command, changes, csv=False):
+        payload = json.loads(json.dumps(self.VALID[command]))
+        if csv:
+            payload["input"] = TestWrongTypedSettings.csv_source(tmp_path)
+            payload["method"] = "de"
+        for where, value in changes.items():
+            *sections, key = where.split(".")
+            section = payload
+            for name in sections:
+                section = section.setdefault(name, {})
+            section[key] = value
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        with time_limit(60):  # rejection sampling under a noise_sd that is let through never ends
+            return runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "command, changes, csv, message",
+        [
+            ("optimize", {"input.mixture.n_subjects": 1e300}, False,
+             "invalid input.mixture: n_subjects must be at most 100,000, got 1e+300"),
+            ("simulate", {"mixture.obs_per_subject": 10**30}, False,
+             f"invalid mixture: obs_per_subject must be at most 1,000,000, got {10**30}"),
+            ("optimize", {"grid_size": 1e300}, True, "grid_size must be at most 100,000, got 1e+300"),
+            ("simulate", {"reps": 10**30}, False, f"reps must be at most 1,000,000, got {10**30}"),
+            ("optimize", {"de.population_size_per_dim": 1e300}, True,
+             "de.population_size_per_dim must be at most 100,000, got 1e+300"),
+            ("optimize", {"de.population_size_per_dim": 60_000, "k": 2}, True,
+             "de.population_size_per_dim (60000) times the 2 free thresholds must be at most 100,000"),
+            ("simulate", {"de.population_size_per_dim": 40_000, "methods": ["de"]}, False,
+             "de.population_size_per_dim (40000) times the 3 free thresholds must be at most 100,000"),
+            ("optimize", {"input.mixture.noise_sd": 1e300}, False,
+             "invalid input.mixture: noise_truncation must be finite, positive and at least noise_sd / 1000, "
+             "got 30.0 with noise_sd 1e+300"),
+            ("simulate", {"mixture.noise_sd": 1.0, "mixture.noise_truncation": 1e-300}, False,
+             "invalid mixture: noise_truncation must be finite, positive and at least noise_sd / 1000"),
+            ("simulate", {"noise_levels": [0, 1e300]}, False,
+             "noise_truncation must be finite, positive and at least noise_sd / 1000"),
+            ("optimize", {"de.seed": 3}, True, 'de.seed is not a setting: the top-level "seed" seeds the run'),
+            ("simulate", {"de.seed": 3}, False, 'de.seed is not a setting: the top-level "seed" seeds the run'),
+        ],
+    )
+    def test_refused(self, runner, tmp_path, command, changes, csv, message):
+        result = self.run(runner, tmp_path, command, changes, csv)
+        assert result.exit_code == 2 and f"error: {message}" in result.output, result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [2**63 - 1, 10**30])
+    def test_simulate_seed_beyond_int64(self, runner, tmp_path, seed):
+        result = self.run(runner, tmp_path, "simulate", {"seed": seed, "reps": 2})
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "benchmark.json").read_text())
+        assert report["seed_entropy"] == [seed, seed + 1]
 
 
 class TestBooleansAndStringsInSettings:

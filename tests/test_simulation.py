@@ -53,7 +53,7 @@ class TestTruncatedNormal:
     @pytest.mark.parametrize(
         "sd, bound, name",
         [(nan, 30.0, "sd"), (inf, 30.0, "sd"), (-inf, 30.0, "sd"), (1.0, nan, "bound"), (1.0, inf, "bound"),
-         (0.0, nan, "bound")],
+         (0.0, nan, "bound"), (1e300, 30.0, "bound"), (1.0, 1e-300, "bound")],
     )
     def test_rejects_non_finite_parameters(self, rng, sd, bound, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
