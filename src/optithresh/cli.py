@@ -21,15 +21,17 @@ import click
 
 from .evaluation import compare_thresholds, tir_summary
 from .histograms import Domain, ThresholdSet, probability_grid
-from .ingestion import CsvSchema, InclusionPolicy, _reprs, _write_float_rows, empirical_histogram, read_cgm_csv
-from .losses import DEFAULT_GRID_SIZE, Cohort, LossKind, LossSpec, _member_grids
-from .optimizers import (
-    DEConfig,
-    Method,
-    SearchBudgetExceeded,
-    optimize,
-    round_up_thresholds,
+from .ingestion import (
+    CGM_DOMAIN,
+    CsvSchema,
+    InclusionPolicy,
+    _reprs,
+    _write_float_rows,
+    empirical_histogram,
+    read_cgm_csv,
 )
+from .losses import DEFAULT_GRID_SIZE, Cohort, LossKind, LossSpec, _member_grids
+from .optimizers import DEConfig, Method, SearchBudgetExceeded, _normalize_fixed, optimize, round_up_thresholds
 from .simulation import MixtureSpec, generate_cohort, run_benchmark
 
 log = logging.getLogger(__name__)
@@ -60,19 +62,21 @@ def _check_keys(obj: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+def _load_config(path, keys: set, **flags) -> dict:
+    """The config file at ``path``, whose keys must be among ``keys``, with each flag that is set
+    in place of its key; ``--fixed`` gives the list of its non-blank comma-separated parts."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            config = json.load(handle)
+        config = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    return config
+    _check_keys(config, keys, "config")
+    if flags.get("fixed") is not None:
+        flags["fixed"] = [part for part in flags["fixed"].split(",") if part.strip()]
+    return {**config, **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _section(cls, section, context: str, readers: dict, label: str = "", **given):
@@ -80,20 +84,20 @@ def _section(cls, section, context: str, readers: dict, label: str = "", **given
 
     ``given`` values replace the section's, and a value with a reader becomes
     ``readers[key](value, "<context>.<key>")``; a ``float`` field's default reader is
-    ``_number``.  A TypeError or ValueError of a reader or of ``cls`` is the config
-    error ``invalid <label or context>: …``.
+    ``_number``.  A TypeError, ValueError or OverflowError of a reader or of ``cls``
+    is the config error ``invalid <label or context>: …``.
     """
     _check_keys(section, set(cls.__dataclass_fields__), context)
     readers = {**{key: _number for key, f in cls.__dataclass_fields__.items() if f.type in (float, "float")}, **readers}
     try:
         return cls(**{key: readers[key](value, f"{context}.{key}") if key in readers else value
                       for key, value in {**section, **given}.items()})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {label or context}: {exc}")
 
 
 def _input_loader(section, method: Method, context: str, labelled: bool):
-    """Check the input section ``context``; returns load() -> (cohort, IngestResult, sidecar).
+    """Check the input section ``context``; returns its domain and load() -> (cohort, IngestResult, sidecar).
 
     Simulation inputs expose the empirical cohort to continuous solvers and the
     binned cohort to discrete ones (overridable with "use"), with no result or
@@ -105,14 +109,14 @@ def _input_loader(section, method: Method, context: str, labelled: bool):
     kind = section["kind"]
     if kind == "simulation":
         _check_keys(section, {"kind", "mixture", "seed", "use"}, context)
-        spec = _section(MixtureSpec, section.get("mixture", {}), f"{context}.mixture", {"domain": _domain})
+        spec = _section(MixtureSpec, section.get("mixture", {}), f"{context}.mixture", _MIXTURE_READERS)
         seed = _integer(section.get("seed", 0), f"{context}.seed", 0)
         use = section.get("use", "auto")
         if use not in ("auto", "empirical", "binned"):
             raise ConfigError(f'{context}.use must be "auto", "empirical" or "binned"')
         if use == "auto":
             use = "empirical" if method is Method.DIFFERENTIAL_EVOLUTION else "binned"
-        return lambda: (generate_cohort(spec, seed)[use == "binned"], None, None)
+        return spec.domain, lambda: (generate_cohort(spec, seed)[use == "binned"], None, None)
     if kind != "csv":
         raise ConfigError(f"unknown {context} kind {kind!r}")
     keys = {"kind", "path", "columns", "on_bad_row", "inclusion"} | ({"label_column"} if labelled else set())
@@ -150,17 +154,23 @@ def _input_loader(section, method: Method, context: str, labelled: bool):
                           for sid, d in sorted(decisions.items())},
         }
         return (Cohort([empirical_histogram(s) for s in kept]) if kept else None), result, sidecar
-    return load
+    return CGM_DOMAIN, load
 
 
-def _load_inputs(sections: dict, method: Method, out_dir: Path, labelled: bool = False) -> dict:
+def _load_inputs(sections: dict, method: Method, out_dir: Path, fixed: tuple = (), labelled: bool = False) -> dict:
     """(cohort, IngestResult) of each input section, by name, all checked before any is read.
 
-    Then ``ingest_report.json`` gets the sidecar of a csv ``input``, or one
-    section per csv group; an input that keeps no subject is a data error after.
+    The ``fixed`` thresholds must lie inside each input's domain.  Then ``ingest_report.json`` gets
+    the sidecar of a csv ``input``, or one section per csv group; an input that keeps no subject
+    is a data error after.
     """
-    loaders = [(name, _input_loader(section, method, name, labelled)) for name, section in sections.items()]
-    loaded = {name: load() for name, load in loaders}
+    loaders = [(name, *_input_loader(section, method, name, labelled)) for name, section in sections.items()]
+    for _, domain, _ in loaders:
+        try:
+            _normalize_fixed(fixed, domain)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+    loaded = {name: load() for name, _, load in loaders}
     sidecars = {name: sidecar for name, (_, _, sidecar) in loaded.items() if sidecar is not None}
     if sidecars:
         _write_json(out_dir / "ingest_report.json", sidecars.get("input", sidecars))
@@ -216,9 +226,22 @@ def _integer(value, name: str, minimum: int, maximum: float = math.inf) -> int:
     return number
 
 
-#: Readers of the ``de`` section's integer settings.
+def _numbers(value, name: str, length: int = 0) -> tuple:
+    """A tuple setting of a config section: a list of numbers, exactly ``length`` of them unless that is 0.
+
+    Its ValueError becomes ``_section``'s config error, which names the section as well.
+    """
+    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)
+            and len(value) == (length or len(value))):
+        raise ValueError(f"{name} must be a list of {f'{length} ' if length else ''}numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+#: Readers of the ``de`` section's integer and tuple settings, and of the ``mixture`` section's tuples.
 _DE_READERS = {"population_size_per_dim": partial(_integer, minimum=4, maximum=_MAX_POPULATION),
-               "max_generations": partial(_integer, minimum=1)}
+               "max_generations": partial(_integer, minimum=1), "mutation_range": partial(_numbers, length=2)}
+_MIXTURE_READERS = {"domain": lambda value, name: Domain(*_numbers(value, name, 2)),
+                    "base_thresholds": _numbers, "histogram_cutoffs": _numbers}
 
 
 def _de_config(config: dict, free: int, **given) -> DEConfig:
@@ -236,10 +259,9 @@ def _de_config(config: dict, free: int, **given) -> DEConfig:
     return de_config
 
 
-def _grid_size(flag, config: dict) -> int:
-    """Quantile grid size from the flag, else the config, else the default."""
-    value = flag if flag is not None else config.get("grid_size", DEFAULT_GRID_SIZE)
-    return _integer(value, "grid_size", 1, _MAX_GRID_SIZE)
+def _grid_size(config: dict) -> int:
+    """Quantile grid size from the config, else the default."""
+    return _integer(config.get("grid_size", DEFAULT_GRID_SIZE), "grid_size", 1, _MAX_GRID_SIZE)
 
 
 def _number(value, name: str):
@@ -255,19 +277,13 @@ def _thresholds(raw, name: str) -> tuple:
         raise ConfigError(f"{name} must be a list of numbers, got {raw!r}")
     try:
         values = tuple(sorted(float(p) for p in raw))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"cannot parse {name} thresholds from {raw!r}")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{name} thresholds must be finite, got {raw!r}")
     if any(a == b for a, b in zip(values, values[1:])):
         raise ConfigError(f"{name} thresholds must be distinct, got {raw!r}")
     return values
-
-
-def _parse_fixed(flag, config: dict) -> tuple:
-    """Sorted fixed thresholds from the comma-separated flag, else the config's list of numbers."""
-    raw = [p for p in flag.split(",") if p.strip()] if flag is not None else config.get("fixed")
-    return () if raw is None else _thresholds(raw, "fixed")
 
 
 def _string(value, name: str, what: str = "a string") -> str:
@@ -277,15 +293,9 @@ def _string(value, name: str, what: str = "a string") -> str:
     return value
 
 
-def _out_path(flag, config: dict) -> Path:
-    """The output directory from the flag, else the config, else the working directory."""
-    return Path(flag or _string(config.get("out", "."), "out", "the path of a directory"))
-
-
-def _domain(value, name: str) -> Domain:
-    """A mixture's domain from a pair of numbers; anything else raises a TypeError or ValueError."""
-    lower, upper = (float(v) for v in value)
-    return Domain(lower, upper)
+def _out_path(config: dict) -> Path:
+    """The output directory from the config, else the working directory."""
+    return Path(_string(config.get("out", "."), "out", "the path of a directory"))
 
 
 def _list(value, name: str, numbers: bool = False) -> list:
@@ -315,22 +325,18 @@ def main(threads):
 @click.option("--fixed", type=str, default=None, help="Comma-separated fixed thresholds.")
 @click.option("--grid-size", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=click.Path(), default=None)
-def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
+@click.option("--out", type=click.Path(), default=None)
+def cmd_optimize(config_path, **flags):
     """Find optimal thresholds for one cohort and write result artifacts."""
     try:
-        config = _load_config(config_path)
-        _check_keys(
-            config,
-            {"input", "loss", "method", "k", "fixed", "grid_size", "seed", "de", "out"},
-            "config",
-        )
-        method_token = method or config.get("method", "de")
+        keys = {"input", "loss", "method", "k", "fixed", "grid_size", "seed", "de", "out"}
+        config = _load_config(config_path, keys, **flags)
+        method_token = config.get("method", "de")
         try:
             method_enum = Method(method_token)
         except ValueError:
             raise ConfigError(f"unknown method {method_token!r}")
-        loss_token = loss if loss is not None else config.get("loss")
+        loss_token = config.get("loss")
         if method_enum is Method.PAA:
             if loss_token is not None:
                 raise ConfigError(
@@ -342,19 +348,18 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
             loss_token = "l1" if loss_token is None else loss_token
             if loss_token not in ("l1", "l2"):
                 raise ConfigError(f"loss must be 'l1' or 'l2', got {loss_token!r}")
-            spec = LossSpec(LossKind(loss_token), _grid_size(grid_size, config))
-        k_value = k if k is not None else config.get("k")
-        if k_value is None:
+            spec = LossSpec(LossKind(loss_token), _grid_size(config))
+        if config.get("k") is None:
             raise ConfigError("k is required (flag --k or config key 'k')")
-        k_value = _integer(k_value, "k", 0)
-        fixed_values = _parse_fixed(fixed, config)
-        seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
+        k_value = _integer(config["k"], "k", 0)
+        fixed_values = () if config.get("fixed") is None else _thresholds(config["fixed"], "fixed")
+        seed_value = _integer(config.get("seed", 0), "seed", 0)
         free = k_value - len(fixed_values) if method_enum is Method.DIFFERENTIAL_EVOLUTION else 0
         de_config = _de_config(config, free, seed=seed_value)
-        out_path = _out_path(out_dir, config)
+        out_path = _out_path(config)
         if "input" not in config:
             raise ConfigError("config requires an 'input' section")
-        cohort = _load_inputs({"input": config["input"]}, method_enum, out_path)["input"][0]
+        cohort = _load_inputs({"input": config["input"]}, method_enum, out_path, fixed_values)["input"][0]
     except (ConfigError, DataError) as exc:
         _fail(exc.code, str(exc))
 
@@ -411,18 +416,13 @@ def cmd_optimize(config_path, loss, method, k, fixed, grid_size, seed, out_dir):
 @click.option("--reps", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--grid-size", type=int, default=None)
-@click.option("--out", "out_dir", type=click.Path(), default=None)
-def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
+@click.option("--out", type=click.Path(), default=None)
+def cmd_simulate(config_path, **flags):
     """Run the synthetic benchmark and write aggregate and per-replication tables."""
     try:
-        config = _load_config(config_path)
-        _check_keys(
-            config,
-            {"mixture", "methods", "losses", "k", "reps", "seed", "noise_levels",
-             "grid_size", "de", "out"},
-            "config",
-        )
-        spec = _section(MixtureSpec, config.get("mixture", {}), "mixture", {"domain": _domain})
+        keys = {"mixture", "methods", "losses", "k", "reps", "seed", "noise_levels", "grid_size", "de", "out"}
+        config = _load_config(config_path, keys, **flags)
+        spec = _section(MixtureSpec, config.get("mixture", {}), "mixture", _MIXTURE_READERS)
         methods = _list(config.get("methods", ["oracle", "de", "sa"]), "methods")
         losses = _list(config.get("losses", ["l1"]), "losses")
         if any(token not in ("l1", "l2") for token in losses):
@@ -430,16 +430,16 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
                 "losses must be drawn from ['l1', 'l2']; the PAA baseline supplies its own "
                 "compositional objective"
             )
-        grid = _grid_size(grid_size, config)
+        grid = _grid_size(config)
         loss_specs = [LossSpec(LossKind(token), grid) for token in losses]
-        k_value = _integer(k if k is not None else config.get("k", 3), "k", 0)
-        reps_value = _integer(reps if reps is not None else config.get("reps", 10), "reps", 1, _MAX_REPS)
-        seed_value = _integer(seed if seed is not None else config.get("seed", 0), "seed", 0)
+        k_value = _integer(config.get("k", 3), "k", 0)
+        reps_value = _integer(config.get("reps", 10), "reps", 1, _MAX_REPS)
+        seed_value = _integer(config.get("seed", 0), "seed", 0)
         noise_levels = config.get("noise_levels")
         if noise_levels is not None:
             _list(noise_levels, "noise_levels", numbers=True)
         de_config = _de_config(config, k_value if any(str(m).lower() == "de" for m in methods) else 0)
-        out_path = _out_path(out_dir, config)
+        out_path = _out_path(config)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
@@ -486,16 +486,12 @@ def cmd_simulate(config_path, k, reps, seed, grid_size, out_dir):
 @main.command("evaluate")
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--grid-size", type=int, default=None)
-@click.option("--out", "out_dir", type=click.Path(), default=None)
-def cmd_evaluate(config_path, grid_size, out_dir):
+@click.option("--out", type=click.Path(), default=None)
+def cmd_evaluate(config_path, **flags):
     """Compare threshold sets on two labeled cohorts (or one cohort + label column)."""
     try:
-        config = _load_config(config_path)
-        _check_keys(
-            config,
-            {"group_a", "group_b", "input", "threshold_sets", "reference", "grid_size", "out"},
-            "config",
-        )
+        keys = {"group_a", "group_b", "input", "threshold_sets", "reference", "grid_size", "out"}
+        config = _load_config(config_path, keys, **flags)
         if "threshold_sets" not in config:
             raise ConfigError("config requires 'threshold_sets'")
         sets = [
@@ -512,8 +508,8 @@ def cmd_evaluate(config_path, grid_size, out_dir):
             raise ConfigError(
                 "provide either 'group_a' and 'group_b', or a single 'input' with a label_column"
             )
-        grid = _grid_size(grid_size, config)
-        out_path = _out_path(out_dir, config)
+        grid = _grid_size(config)
+        out_path = _out_path(config)
         if labeled_single:
             single = config["input"]
             if not (isinstance(single, dict) and single.get("kind") == "csv" and "label_column" in single):

@@ -121,16 +121,16 @@ class OptimizationResult:
 FixedLike = Union[None, ThresholdSet, Sequence[float]]
 
 
-def _normalize_fixed(fixed: FixedLike) -> tuple:
+def _normalize_fixed(fixed: FixedLike, domain: Domain) -> tuple:
+    """The fixed thresholds, sorted; they must be distinct and strictly inside ``domain``."""
     if fixed is None:
         return ()
-    if isinstance(fixed, ThresholdSet):
-        values = fixed.thresholds
-    else:
-        values = tuple(float(v) for v in fixed)
-    out = tuple(sorted(values))
+    out = tuple(sorted(fixed.thresholds if isinstance(fixed, ThresholdSet) else (float(v) for v in fixed)))
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError("fixed thresholds must be distinct")
+    for value in out:
+        if not domain.contains_interior(value):
+            raise ValueError(f"fixed threshold {value} outside the open domain ({domain.lower}, {domain.upper})")
     return out
 
 
@@ -141,7 +141,7 @@ def _grid_setup(cohort: Cohort, k: int, spec: LossSpec, fixed: FixedLike) -> tup
     """(fixed, cutoffs, fixed_pos) of a grid solver: the normalised fixed
     thresholds, the shared cutoffs it selects from and the fixed thresholds'
     positions among them, once the instance is checked to be solvable."""
-    fixed = _normalize_fixed(fixed)
+    fixed = _normalize_fixed(fixed, cohort.domain)
     cutoffs = cohort.shared_cutoffs
     if cutoffs is None:
         raise ValueError("discrete solvers require a histogram cohort with shared cutoffs")
@@ -711,7 +711,7 @@ def differential_evolution(
     if spec.kind is LossKind.L2_BRAY_CURTIS:
         raise ValueError("differential evolution optimizes quantile-grid losses only")
     config = config or DEConfig()
-    fixed = _normalize_fixed(fixed)
+    fixed = _normalize_fixed(fixed, cohort.domain)
     k_free = k - len(fixed)
     if k_free < 1:
         raise ValueError("differential evolution needs at least one free threshold")
@@ -720,9 +720,6 @@ def differential_evolution(
     span = b - a
     margin = 1e-9 * span
     lower, upper = a + margin, b - margin
-    for value in fixed:
-        if not domain.contains_interior(value):
-            raise ValueError(f"fixed threshold {value} outside the open domain ({a}, {b})")
     repaired = partial(_repair_rows, fixed=fixed, domain=domain, bump=margin)
     rng = np.random.default_rng(config.seed)
     n_pop = config.population_size_per_dim * k_free
@@ -804,14 +801,11 @@ def optimize(
 ) -> OptimizationResult:
     """Dispatch to a solver, guaranteeing fixed thresholds appear in the result."""
     method = Method(method)
-    fixed_values = _normalize_fixed(fixed)
+    fixed_values = _normalize_fixed(fixed, cohort.domain)
     if method is Method.PAA:
         spec = LossSpec(LossKind.L2_BRAY_CURTIS)
     elif spec is None:
         raise ValueError("a loss spec is required for this method")
-    for value in fixed_values:
-        if not cohort.domain.contains_interior(value):
-            raise ValueError(f"fixed threshold {value} outside the open domain")
     if k == len(fixed_values):
         # Nothing to optimize: the fixed thresholds are the answer.
         return _certify(cohort, fixed_values, fixed_values, method, spec, 0, None)

@@ -765,6 +765,11 @@ class TestSizesNoiseAndSeeds:
              "noise_truncation must be finite, positive and at least noise_sd / 1000"),
             ("optimize", {"de.seed": 3}, True, 'de.seed is not a setting: the top-level "seed" seeds the run'),
             ("simulate", {"de.seed": 3}, False, 'de.seed is not a setting: the top-level "seed" seeds the run'),
+            ("optimize", {"method": "sa", "k": 2, "fixed": [1000]}, True,
+             "fixed threshold 1000.0 outside the open domain (40.0, 401.0)"),
+            ("optimize", {"k": 2, "fixed": [40]}, True, "fixed threshold 40.0 outside the open domain (40.0, 401.0)"),
+            ("optimize", {"k": 2, "fixed": [110, 400]}, False,
+             "fixed threshold 400.0 outside the open domain (40.0, 400.0)"),
         ],
     )
     def test_refused(self, runner, tmp_path, command, changes, csv, message):
@@ -852,6 +857,68 @@ class TestBooleansAndStringsInSettings:
         result = self.run(runner, tmp_path, "optimize", self.VALID["optimize"], "--fixed", "70")
         assert result.exit_code == 0, result.output
         assert json.loads((tmp_path / "out" / "result.json").read_text())["config"]["fixed"] == [70.0]
+
+
+class TestFlagPrecedence:
+    """A flag replaces the config key of its name.  A run whose config sets the key to one value
+    and whose flag gives another writes what a run whose config holds the flag's value writes,
+    and that differs from what the config's own value gives."""
+
+    BASES = {
+        "optimize": {"input": {"kind": "simulation", "mixture": SMALL_MIXTURE, "seed": 3}, "loss": "l1",
+                     "method": "sa", "k": 3, "fixed": [150], "grid_size": 40, "seed": 5},
+        "simulate": {"mixture": SMALL_MIXTURE, "methods": ["oracle", "sa"], "k": 2, "reps": 1, "seed": 1,
+                     "grid_size": 40},
+        "evaluate": TestWrongTypedSettings.VALID["evaluate"],
+    }
+
+    @staticmethod
+    def run(runner, monkeypatch, work, command, config, *flags) -> dict:
+        """Each file the run writes under ``work``, its working directory, by relative path; a
+        JSON artifact's ``config_file``, which names each run's own config, is left out."""
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = write_config(work.parent, f"{work.name}.json", config)
+        result = runner.invoke(main, [command, "--config", cfg, *flags])
+        assert result.exit_code == 0, result.output
+        files = {}
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            content = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                content = json.loads(content)
+                content["config"].pop("config_file")
+            files[path.relative_to(work).as_posix()] = content
+        return files
+
+    @pytest.mark.parametrize(
+        "command, flag, given, key, value, other",
+        [
+            ("optimize", "--loss", "l2", "loss", "l2", "l1"),
+            ("optimize", "--method", "ss", "method", "ss", "sa"),
+            ("optimize", "--k", "2", "k", 2, 3),
+            ("optimize", "--fixed", "110,180", "fixed", [110, 180], [150]),
+            ("optimize", "--fixed", "", "fixed", [], [150]),
+            ("optimize", "--grid-size", "30", "grid_size", 30, 40),
+            ("optimize", "--seed", "7", "seed", 7, 5),
+            ("optimize", "--out", "flag_out", "out", "flag_out", "config_out"),
+            ("simulate", "--k", "3", "k", 3, 2),
+            ("simulate", "--reps", "2", "reps", 2, 1),
+            ("simulate", "--seed", "4", "seed", 4, 1),
+            ("simulate", "--grid-size", "30", "grid_size", 30, 40),
+            ("simulate", "--out", "flag_out", "out", "flag_out", "config_out"),
+            ("evaluate", "--grid-size", "30", "grid_size", 30, 40),
+            ("evaluate", "--out", "flag_out", "out", "flag_out", "config_out"),
+        ],
+        ids=["optimize-loss", "optimize-method", "optimize-k", "optimize-fixed", "optimize-fixed-blank",
+             "optimize-grid-size", "optimize-seed", "optimize-out", "simulate-k", "simulate-reps", "simulate-seed",
+             "simulate-grid-size", "simulate-out", "evaluate-grid-size", "evaluate-out"],
+    )
+    def test_flag_replaces_config_key(self, runner, tmp_path, monkeypatch, command, flag, given, key, value, other):
+        base = {**self.BASES[command], "out": "config_out"}
+        flagged = self.run(runner, monkeypatch, tmp_path / "flag", command, {**base, key: other}, flag, given)
+        configured = self.run(runner, monkeypatch, tmp_path / "value", command, {**base, key: value})
+        assert flagged == configured
+        assert flagged != self.run(runner, monkeypatch, tmp_path / "other", command, {**base, key: other})
 
 
 def _export_rows(rng) -> list:

@@ -5,7 +5,7 @@ must write no file.  Sizes are drawn small.  Huge edge numbers are drawn at ever
 ``LONG_RUN_KEYS``, where a large valid value means a long run: elsewhere validation must
 refuse them before anything is allocated, or they size nothing.  A case that runs longer
 than ``CASE_SECONDS`` fails the test.  The explicit examples are the hang and the
-tracebacks that an earlier generator found.
+tracebacks that an earlier generator found, and settings whose errors once did not name them.
 """
 
 import copy
@@ -138,8 +138,46 @@ def csv_path(tmp_path_factory):
 @example(case=("optimize-csv", [(("k",), 10**30)]))
 @example(case=("simulate", [(("reps",), 10**30)]))
 @example(case=("optimize-csv", [(("de", "seed"), 3)]))
+@example(case=("optimize-simulation", [(("input", "mixture", "domain"), [5])]))
+@example(case=("simulate", [(("mixture", "base_thresholds"), 5)]))
+@example(case=("simulate", [(("mixture", "histogram_cutoffs"), 5)]))
+@example(case=("optimize-csv", [(("de", "mutation_range"), 0.5)]))
+@example(case=("simulate", [(("mixture", "base_thresholds"), [70, 180, 10**400])]))
+@example(case=("optimize-csv", [(("fixed",), [1000])]))
+@example(case=("optimize-csv", [(("fixed",), [40])]))
 def test_config_exits_with_a_documented_code(csv_path, case):
-    base, changes = case
+    result, written = run_case(csv_path, *case)
+    assert result.exit_code in (0, 2, 3, 4), (case, result.output, result.exception)
+    assert "Traceback" not in result.output, (case, result.output)
+    if result.exit_code == 2:
+        assert written == [], (case, result.output)
+
+
+@pytest.mark.parametrize(
+    "base, path, value, message",
+    [
+        ("optimize-simulation", ("input", "mixture", "domain"), [5],
+         "invalid input.mixture: input.mixture.domain must be a list of 2 numbers, got [5]"),
+        ("simulate", ("mixture", "base_thresholds"), 5,
+         "invalid mixture: mixture.base_thresholds must be a list of numbers, got 5"),
+        ("simulate", ("mixture", "histogram_cutoffs"), [70, "80"],
+         "invalid mixture: mixture.histogram_cutoffs must be a list of numbers, got [70, '80']"),
+        ("optimize-csv", ("de", "mutation_range"), 0.5,
+         "invalid de section: de.mutation_range must be a list of 2 numbers, got 0.5"),
+        ("simulate", ("de", "mutation_range"), [0.5, 0.7, 0.9],
+         "invalid de section: de.mutation_range must be a list of 2 numbers, got [0.5, 0.7, 0.9]"),
+        ("optimize-csv", ("fixed",), [1000], "fixed threshold 1000.0 outside the open domain (40.0, 401.0)"),
+    ],
+    ids=["domain-short", "base-number", "cutoffs-word", "mutation-number", "mutation-three", "fixed-outside"],
+)
+def test_config_error_names_the_setting(csv_path, base, path, value, message):
+    result, written = run_case(csv_path, base, [(path, value)])
+    assert result.exit_code == 2 and f"error: {message}\n" in result.output, result.output
+    assert written == []
+
+
+def run_case(csv_path, base: str, changes):
+    """The CLI's result on the base config with ``changes``, and the files it wrote in its working directory."""
     command, config, _ = BASES[base]
     if base == "optimize-csv":
         config = {**config, "input": {**config["input"], "path": csv_path}}
@@ -156,7 +194,4 @@ def test_config_exits_with_a_documented_code(csv_path, case):
         finally:
             os.chdir(here)
         written = sorted(path.name for path in work.iterdir())
-    assert result.exit_code in (0, 2, 3, 4), (changes, result.output, result.exception)
-    assert "Traceback" not in result.output, (changes, result.output)
-    if result.exit_code == 2:
-        assert written == [], (changes, result.output)
+    return result, written

@@ -628,7 +628,7 @@ def reference_de(cohort, k, spec, fixed, config):
     from optithresh import optimizers as opt
     from optithresh.losses import _loss_batch
 
-    fixed = opt._normalize_fixed(fixed)
+    fixed = opt._normalize_fixed(fixed, cohort.domain)
     k_free = k - len(fixed)
     domain = cohort.domain
     a, b = domain.lower, domain.upper
@@ -1029,6 +1029,26 @@ class TestGridSolverChecks:
         with pytest.raises(ValueError) as raised:
             GRID_SOLVERS[solver](cohorts[name], k, LossSpec(kind, 20), fixed)
         assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+class TestFixedOutsideDomain:
+    """``optimize`` and every public solver refuse a fixed threshold outside the cohort's
+    open domain with one message, which gives the domain's bounds."""
+
+    SOLVERS = {
+        **GRID_SOLVERS,
+        "de": differential_evolution,
+        "optimize": lambda cohort, k, spec, fixed: optimize(cohort, k, spec, Method.STEPWISE_AGGREGATION, fixed),
+    }
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1000.0, -2.5])
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_one_message(self, rng, solver, value):
+        cohort = grid_cohort(rng, n=3, n_bins=6)
+        fixed = (float(cohort.members[0].cutoffs[2]), value)
+        with pytest.raises(ValueError) as raised:
+            self.SOLVERS[solver](cohort, 3, LossSpec(LossKind.L1, 20), fixed)
+        assert str(raised.value) == f"fixed threshold {value} outside the open domain (0.0, 1.0)"
 
 
 class TestOptimizeDispatcher:
